@@ -3,7 +3,7 @@
 
 Usage (from the root of a checkout):
 
-    python3 perfbench/run.py --workload serve_step1 --seed 1 --seconds 30 \\
+    python3 perfbench/run.py --workload serve_step1 --seed 1 --seconds 20 \\
         --trace 0
     python3 perfbench/run.py --selftest
 
@@ -90,8 +90,8 @@ def main():
     if args.selftest:
         sys.exit(subprocess.run([program, "--selftest"], env=env).returncode)
 
-    state_dir = os.path.join(build_dir, "perfbench_state")
-    os.makedirs(state_dir, exist_ok=True)
+    log_dir = os.path.join(build_dir, "perfbench_logs")
+    os.makedirs(log_dir, exist_ok=True)
     cmd = [
         program,
         "--workload", args.workload,
@@ -99,7 +99,8 @@ def main():
         "--seconds", str(args.seconds),
         "--trace", str(args.trace),
         "--cli", os.path.join(build_dir, "rpe", "rpe_cli"),
-        "--state-dir", state_dir,
+        "--log-dir", log_dir,
+        "--digest-file", os.path.join(HERE, args.workload + ".digest"),
     ]
     proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True,
                           env=env)

@@ -18,9 +18,10 @@ struct Options {
   bool trace = false;
   /// rpe_cli binary the serving workloads launch as `serve-tcp`.
   std::string cli;
-  /// Directory (inside the checkout) for server logs and the records
-  /// digests that later runs compare against.
-  std::string state_dir;
+  /// Directory (inside the checkout) for the server logs.
+  std::string log_dir;
+  /// Committed records digest the pipeline's records must match.
+  std::string digest_file;
 };
 
 /// Monotonic clock in nanoseconds / seconds.

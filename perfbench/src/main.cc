@@ -1,9 +1,10 @@
 // perfbench: the repository benchmark's measuring program (built and
 // invoked by perfbench/run.py).
 //
-//   perfbench --workload <serve_step1|serve_online|pipeline_tpc>
+//   perfbench --workload <serve_step1|pipeline_tpc>
 //                    --seed N --seconds S --trace 0|1
-//                    --cli path/to/rpe_cli --state-dir DIR
+//                    --cli path/to/rpe_cli --log-dir DIR
+//                    --digest-file perfbench/pipeline_tpc.digest
 //   perfbench --selftest
 //
 // Every run first self-tests the percentile / lateness / ladder logic,
@@ -36,7 +37,6 @@ const std::vector<MetricDef>& EndToEndMetrics() {
       {"setup_s", "s"},
       {"request_p50_ms", "ms"},
       {"request_p90_ms", "ms"},
-      {"throughput_per_s", "1/s"},
       {"selection_l1", "L1"},
       {"peak_rss_mb", "MiB"},
   };
@@ -63,6 +63,7 @@ const std::vector<MetricDef>& LayerMetrics() {
       {"request_p99_ms", "ms"},
       {"failed_frac", "ratio"},
       {"publish_lag_s", "s"},
+      {"throughput_per_s", "1/s"},
       {"load.late_p50_ms", "ms"},
       {"load.late_max_ms", "ms"},
       {"workload.build_s", "s"},
@@ -111,7 +112,8 @@ std::string JsonNumber(double v) {
 
 int Usage() {
   std::cerr << "usage: perfbench --workload W --seed N --seconds S "
-               "--trace 0|1 --cli RPE_CLI --state-dir DIR | --selftest\n";
+               "--trace 0|1 --cli RPE_CLI --log-dir DIR --digest-file FILE | "
+               "--selftest\n";
   return 2;
 }
 
@@ -140,8 +142,10 @@ int main(int argc, char** argv) {
       options.trace = value == "1";
     } else if (key == "--cli") {
       options.cli = value;
-    } else if (key == "--state-dir") {
-      options.state_dir = value;
+    } else if (key == "--log-dir") {
+      options.log_dir = value;
+    } else if (key == "--digest-file") {
+      options.digest_file = value;
     } else {
       return Usage();
     }
@@ -156,11 +160,11 @@ int main(int argc, char** argv) {
     std::cout << "perfbench self-tests passed\n";
     return 0;
   }
-  const bool serve =
-      options.workload == "serve_step1" || options.workload == "serve_online";
+  const bool serve = options.workload == "serve_step1";
   const bool pipeline = options.workload == "pipeline_tpc";
   if ((!serve && !pipeline) || options.seconds <= 0 ||
-      options.state_dir.empty() || (serve && options.cli.empty())) {
+      (serve && (options.cli.empty() || options.log_dir.empty())) ||
+      (pipeline && options.digest_file.empty())) {
     return Usage();
   }
   if (std::strcmp(PERFBENCH_BUILD_TYPE, "Release") != 0) {

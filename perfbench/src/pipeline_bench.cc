@@ -3,19 +3,21 @@
 // PaperWorkloadConfigs(), plan + execute every query and featurize its
 // pipelines into PipelineRecords, train the selectors leave-one-workload-
 // out (3/6-estimator pools x static/dynamic features), and evaluate the
-// eleven Figure 5 policies. Output checks: the records digest repeats
-// across runs, and Figure 5's order holds.
+// eleven Figure 5 policies. Output checks: the records digest equals the
+// committed one, and Figure 5's order holds.
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
 #include "bench.h"
+#include "exec/executor.h"
 #include "harness/metrics.h"
 #include "harness/runner.h"
 #include "optimizer/planner.h"
-#include "exec/executor.h"
 #include "selection/selector.h"
 #include "stats.h"
 #include "workload/workload.h"
@@ -57,64 +59,158 @@ uint64_t Fnv1a(const std::string& bytes) {
   return h;
 }
 
-/// Per-query timings of one execution pass.
+/// Latency passes: each executes every query once, two before the
+/// pipeline and two after it, and a query's latency is its fastest
+/// execution. The host's speed drifts over seconds, so executions spread
+/// over the run find its fast periods where back-to-back ones share one
+/// period.
+constexpr int kLatencyPasses = 4;
+/// Only the first pass executes a query that took kRepeatMs or more there:
+/// such a query (about 2% of them here, with some 40% of the execution
+/// time) is far beyond the gated p90 after one execution.
+constexpr double kRepeatMs = 50.0;
+
+/// One plan + execute + featurize, in ms (the layers only when traced).
+struct QueryTiming {
+  double total_ms = 0.0, plan_ms = 0.0, exec_ms = 0.0, record_ms = 0.0;
+};
+
+/// Plan, execute and featurize one query (RunWorkload's per-query path),
+/// appending its records to `records`. `traced` adds the per-layer clock
+/// reads. False when the plan or the execution failed.
+bool RunOne(const rpe::Workload& workload, rpe::Planner* planner,
+            const rpe::QuerySpec& spec, bool traced,
+            std::vector<rpe::PipelineRecord>* records, QueryTiming* t) {
+  const rpe::RunOptions options;
+  const uint64_t t0 = NowNs();
+  auto plan = planner->Plan(spec);
+  const uint64_t t1 = traced ? NowNs() : 0;
+  if (!plan.ok()) return false;
+  auto run = rpe::ExecutePlan(**plan, *workload.catalog, options.exec);
+  const uint64_t t2 = traced ? NowNs() : 0;
+  if (!run.ok()) return false;
+  rpe::QueryRunResult result = std::move(run).ValueOrDie();
+  result.plan = plan->get();
+  for (const rpe::Pipeline& pipeline : result.pipelines) {
+    rpe::PipelineView view{&result, &pipeline};
+    rpe::PipelineRecord record;
+    if (rpe::MakeRecord(view, workload.config.name, spec.name, "", &record,
+                        options.min_observations)) {
+      records->push_back(std::move(record));
+    }
+  }
+  const uint64_t t3 = NowNs();
+  t->total_ms = static_cast<double>(t3 - t0) * 1e-6;
+  if (traced) {
+    t->plan_ms = static_cast<double>(t1 - t0) * 1e-6;
+    t->exec_ms = static_cast<double>(t2 - t1) * 1e-6;
+    t->record_ms = static_cast<double>(t3 - t2) * 1e-6;
+  }
+  return true;
+}
+
+/// One statistics store and planner per database (RunWorkload's set-up).
+struct PlannerFor {
+  explicit PlannerFor(const rpe::Workload& w)
+      : card(w.catalog.get()),
+        planner(w.catalog.get(), &card, rpe::RunOptions().planner) {}
+  rpe::CardinalityEstimator card;
+  rpe::Planner planner;
+};
+
+/// The pipeline's execution: every query once, configs in `order`.
 struct ExecPass {
   std::vector<std::vector<rpe::PipelineRecord>> records;  ///< per config
-  std::vector<double> query_ms;  ///< plan + execute + featurize
-  std::vector<double> plan_ms, exec_ms, record_ms;
+  std::vector<QueryTiming> queries;
   uint64_t attempted = 0, failed = 0;
   double wall_s = 0.0;
 };
 
-/// Plan, execute and featurize every query of every workload, configs in
-/// `order`. `traced` adds the per-layer clock reads.
 ExecPass Execute(const std::vector<rpe::Workload>& workloads,
                  const std::vector<size_t>& order, bool traced) {
   ExecPass pass;
   pass.records.resize(workloads.size());
-  const rpe::RunOptions options;
   const double t_start = NowS();
   for (size_t w : order) {
-    const rpe::Workload& workload = workloads[w];
-    // One statistics store and planner per database (RunWorkload's setup).
-    rpe::CardinalityEstimator card(workload.catalog.get());
-    rpe::Planner planner(workload.catalog.get(), &card, options.planner);
-    for (const rpe::QuerySpec& spec : workload.queries) {
+    PlannerFor p(workloads[w]);
+    for (const rpe::QuerySpec& spec : workloads[w].queries) {
       ++pass.attempted;
-      const uint64_t t0 = NowNs();
-      auto plan = planner.Plan(spec);
-      const uint64_t t1 = traced ? NowNs() : 0;
-      if (!plan.ok()) {
+      QueryTiming t;
+      if (!RunOne(workloads[w], &p.planner, spec, traced, &pass.records[w],
+                  &t)) {
         ++pass.failed;
         continue;
       }
-      auto run = rpe::ExecutePlan(**plan, *workload.catalog, options.exec);
-      const uint64_t t2 = traced ? NowNs() : 0;
-      if (!run.ok()) {
-        ++pass.failed;
-        continue;
-      }
-      rpe::QueryRunResult result = std::move(run).ValueOrDie();
-      result.plan = plan->get();
-      for (const rpe::Pipeline& pipeline : result.pipelines) {
-        rpe::PipelineView view{&result, &pipeline};
-        rpe::PipelineRecord record;
-        if (rpe::MakeRecord(view, workload.config.name, spec.name, "",
-                            &record, options.min_observations)) {
-          pass.records[w].push_back(std::move(record));
-        }
-      }
-      const uint64_t t3 = NowNs();
-      pass.query_ms.push_back(static_cast<double>(t3 - t0) * 1e-6);
-      if (traced) {
-        pass.plan_ms.push_back(static_cast<double>(t1 - t0) * 1e-6);
-        pass.exec_ms.push_back(static_cast<double>(t2 - t1) * 1e-6);
-        pass.record_ms.push_back(static_cast<double>(t3 - t2) * 1e-6);
-      }
+      pass.queries.push_back(t);
     }
   }
   pass.wall_s = NowS() - t_start;
   return pass;
+}
+
+/// Per-query latencies, in canonical query order (config by config).
+struct LatencyPhase {
+  std::vector<std::vector<rpe::PipelineRecord>> records;  ///< first pass
+  std::vector<double> first_ms;   ///< the first pass's execution
+  std::vector<double> query_ms;   ///< fastest untraced execution
+  std::vector<double> warm_ms;    ///< the same, first pass left out
+  std::vector<double> traced_ms;  ///< fastest traced execution
+  std::vector<double> pass_s;     ///< wall time of each pass
+  uint64_t attempted = 0, failed = 0;
+};
+
+/// One latency pass, configs in `order`.
+void LatencyPass(const std::vector<rpe::Workload>& workloads,
+                 const std::vector<size_t>& order, bool traced,
+                 LatencyPhase* phase) {
+  const bool first = phase->pass_s.empty();
+  if (first) {
+    size_t n = 0;
+    for (const rpe::Workload& w : workloads) n += w.queries.size();
+    const double inf = std::numeric_limits<double>::infinity();
+    phase->records.resize(workloads.size());
+    phase->first_ms.assign(n, inf);
+    phase->query_ms.assign(n, inf);
+    phase->warm_ms.assign(n, inf);
+    phase->traced_ms.assign(n, inf);
+  }
+  std::vector<size_t> offset(workloads.size(), 0);
+  for (size_t w = 1; w < workloads.size(); ++w) {
+    offset[w] = offset[w - 1] + workloads[w - 1].queries.size();
+  }
+  std::vector<rpe::PipelineRecord> discard;
+  const double t0 = NowS();
+  for (size_t w : order) {
+    PlannerFor p(workloads[w]);
+    for (size_t q = 0; q < workloads[w].queries.size(); ++q) {
+      const size_t i = offset[w] + q;
+      if (!first && !(phase->first_ms[i] < kRepeatMs)) continue;
+      discard.clear();
+      QueryTiming t;
+      ++phase->attempted;
+      if (!RunOne(workloads[w], &p.planner, workloads[w].queries[q], traced,
+                  first ? &phase->records[w] : &discard, &t)) {
+        ++phase->failed;
+        continue;
+      }
+      if (first) phase->first_ms[i] = t.total_ms;
+      double& best = traced ? phase->traced_ms[i] : phase->query_ms[i];
+      best = std::min(best, t.total_ms);
+      if (!traced && !first) {
+        phase->warm_ms[i] = std::min(phase->warm_ms[i], t.total_ms);
+      }
+    }
+  }
+  phase->pass_s.push_back(NowS() - t0);
+}
+
+/// The finite entries of `v` (queries that ran in the passes concerned).
+std::vector<double> Ran(const std::vector<double>& v) {
+  std::vector<double> out;
+  for (double x : v) {
+    if (std::isfinite(x)) out.push_back(x);
+  }
+  return out;
 }
 
 double Sum(const std::vector<double>& v) {
@@ -156,21 +252,23 @@ void RunPipelineWorkload(const Options& options, Outcome* out) {
     }
   }
 
-  // 2. The pipeline: execute → records → LOWO training → Figure 5. Every
-  //    query executes twice (a first pass, then the timed pipeline's); a
-  //    query's latency is the faster of its two executions, so a one-off
-  //    interruption does not set it. The traced run times the layers in
-  //    the second pass and compares its p50 with the first's.
-  const ExecPass first_pass = Execute(workloads, order, /*traced=*/false);
+  // 2. Two latency passes, the pipeline (execute → records → LOWO training
+  //    → Figure 5), two more latency passes. The traced run times the
+  //    pipeline's layers, and leads with one more untraced pass (the cold
+  //    first executions after set-up); its other four run untraced,
+  //    traced | pipeline | traced, untraced, so that the two minima
+  //    obs.trace_overhead compares are both warm and spread alike over
+  //    the run.
+  const int passes = kLatencyPasses + (options.trace ? 1 : 0);
+  auto traced_pass = [&](int k) {
+    return options.trace && (k == 2 || k == 3);
+  };
+  LatencyPhase latency;
+  for (int k = 0; k < passes - kLatencyPasses / 2; ++k) {
+    LatencyPass(workloads, order, traced_pass(k), &latency);
+  }
   const double t_pipeline = NowS();
   const ExecPass pass = Execute(workloads, order, options.trace);
-  if (first_pass.query_ms.size() != pass.query_ms.size()) {
-    return out->Fail("the two executions ran different queries");
-  }
-  std::vector<double> query_ms(pass.query_ms.size());
-  for (size_t i = 0; i < query_ms.size(); ++i) {
-    query_ms[i] = std::min(pass.query_ms[i], first_pass.query_ms[i]);
-  }
   std::vector<rpe::PipelineRecord> records;
   std::vector<size_t> first(configs.size());
   for (size_t w = 0; w < configs.size(); ++w) {
@@ -248,6 +346,10 @@ void RunPipelineWorkload(const Options& options, Outcome* out) {
   const double t_end = NowS();
   const double evaluate_s = t_end - t_eval;
   const double pipeline_s = t_end - t_pipeline;
+  for (int k = passes - kLatencyPasses / 2; k < passes; ++k) {
+    LatencyPass(workloads, order, traced_pass(k), &latency);
+  }
+  const std::vector<double> query_ms = Ran(latency.query_ms);
 
   // 3. Output checks.
   std::ostringstream fig5;
@@ -267,47 +369,54 @@ void RunPipelineWorkload(const Options& options, Outcome* out) {
   const uint64_t digest = Fnv1a(rpe::RecordsToCsv(records));
   {
     std::vector<rpe::PipelineRecord> again;
-    for (const auto& w : first_pass.records) {
+    for (const auto& w : latency.records) {
       again.insert(again.end(), w.begin(), w.end());
     }
     if (Fnv1a(rpe::RecordsToCsv(again)) != digest) {
-      return out->Fail("records differ between the two executions of a run");
+      return out->Fail(
+          "records differ between the first latency pass and the pipeline");
     }
   }
   {
-    const std::string path =
-        options.state_dir + "/" + options.workload + ".digest";
-    std::ifstream in(path);
-    uint64_t previous = 0;
-    if (in >> previous) {
-      if (previous != digest) {
-        return out->Fail("records digest " + std::to_string(digest) +
-                         " differs from an earlier run's " +
-                         std::to_string(previous) + " (" + path + ")");
-      }
-      std::cout << "check: records digest " << digest
-                << " equals the earlier runs'\n";
-    } else {
-      std::ofstream(path) << digest << "\n";
-      std::cout << "check: records digest " << digest
-                << " recorded for later runs\n";
+    std::ifstream in(options.digest_file);
+    uint64_t expected = 0;
+    if (!(in >> expected)) {
+      return out->Fail("cannot read the expected digest from " +
+                       options.digest_file);
     }
+    if (expected != digest) {
+      return out->Fail("records digest " + std::to_string(digest) +
+                       " differs from the committed " +
+                       std::to_string(expected) + " (" + options.digest_file +
+                       ")");
+    }
+    std::cout << "check: records digest " << digest << " equals "
+              << options.digest_file << "\n";
   }
   if (pass.failed * 4 > pass.attempted) {
     return out->Fail("more than a quarter of the queries failed");
   }
 
   // 4. Metrics.
-  out->attempted = first_pass.attempted + pass.attempted;
-  out->failed = first_pass.failed + pass.failed;
+  out->attempted = latency.attempted + pass.attempted;
+  out->failed = latency.failed + pass.failed;
   const Summary q = Summarize(query_ms);
   const double p90 = ReportablePercentile(query_ms, 0.90);
   if (p90 < 0.0) return out->Fail("too few queries for a p90");
   const double train_s = Sum(fit_s);
   const double records_per_s = static_cast<double>(n) / pass.wall_s;
-  std::cout << "query (plan+execute+featurize, faster of 2 executions): "
-            << FormatSummary(q, "ms")
-            << ", p90 " << p90 << " ms\n"
+  std::ostringstream pass_s;
+  for (double v : latency.pass_s) pass_s << " " << v;
+  const size_t once = static_cast<size_t>(std::count_if(
+      latency.first_ms.begin(), latency.first_ms.end(),
+      [](double v) { return !(v < kRepeatMs); }));
+  std::cout << "query (plan+execute+featurize, fastest "
+            << (options.trace ? "untraced " : "") << "execution of "
+            << passes << " passes" << (options.trace ? " / 3" : "")
+            << "; passes took" << pass_s.str() << " s; " << once
+            << " queries of " << kRepeatMs
+            << " ms or more ran in the first only): "
+            << FormatSummary(q, "ms") << ", p90 " << p90 << " ms\n"
             << "pipeline_s: " << pipeline_s << " s (execute " << pass.wall_s
             << " s, train_s " << train_s << " s over " << fit_s.size()
             << " Train calls, evaluate " << evaluate_s << " s)\n"
@@ -315,40 +424,62 @@ void RunPipelineWorkload(const Options& options, Outcome* out) {
             << " queries, records_per_s " << records_per_s << "\n"
             << "selection_l1 (dynamic, 6 est.): " << dyn6 << "\n"
             << "failed_frac: " << out->failed << "/" << out->attempted
-            << " query executions (failed plans or executions, both passes)\n";
+            << " query executions (failed plans or executions, latency "
+               "passes and pipeline)\n";
 
   if (!options.trace) {
     out->metrics["setup_s"] = Median(setup_s);
     out->metrics["request_p50_ms"] = q.p50;
     out->metrics["request_p90_ms"] = p90;
-    out->metrics["throughput_per_s"] = static_cast<double>(n) / pipeline_s;
     out->metrics["selection_l1"] = dyn6;
     out->metrics["peak_rss_mb"] = SelfPeakRssMb();
     return;
   }
 
-  const Summary ex = Summarize(pass.exec_ms);
-  const double plan_s = Sum(pass.plan_ms) * 1e-3;
-  const double exec_s = Sum(pass.exec_ms) * 1e-3;
-  const double record_s = Sum(pass.record_ms) * 1e-3;
+  std::vector<double> plan_ms, exec_ms, record_ms;
+  for (const QueryTiming& t : pass.queries) {
+    plan_ms.push_back(t.plan_ms);
+    exec_ms.push_back(t.exec_ms);
+    record_ms.push_back(t.record_ms);
+  }
+  const Summary ex = Summarize(exec_ms);
+  const double plan_s = Sum(plan_ms) * 1e-3;
+  const double exec_s = Sum(exec_ms) * 1e-3;
+  const double record_s = Sum(record_ms) * 1e-3;
   const double select_s = Sum(select_us) * 1e-6;
   const double layers_s = plan_s + exec_s + record_s + train_s + select_s +
                           evaluate_s;
+  // pipeline_s starts after set-up, so BuildWorkload is not one of its
+  // layers; it is set-up's (setup_s, workload.build_s).
   std::cout << "trace: plan " << plan_s << " + execute " << exec_s
             << " + featurize " << record_s << " + fit " << train_s
             << " + select " << select_s << " + evaluate " << evaluate_s
             << " = " << layers_s << " s vs pipeline_s " << pipeline_s
-            << " s (build " << Median(setup_s) << " s is set-up)\n";
+            << " s (coverage " << layers_s / pipeline_s << "; build "
+            << Median(setup_s) << " s is set-up, outside pipeline_s)\n";
+  // Over the queries both kinds of pass executed.
+  std::vector<double> paired_untraced, paired_traced;
+  for (size_t i = 0; i < latency.traced_ms.size(); ++i) {
+    if (std::isfinite(latency.traced_ms[i])) {
+      paired_untraced.push_back(latency.warm_ms[i]);
+      paired_traced.push_back(latency.traced_ms[i]);
+    }
+  }
+  const Summary untraced = Summarize(paired_untraced);
+  const Summary traced = Summarize(paired_traced);
+  std::cout << "trace: query latency traced " << FormatSummary(traced, "ms")
+            << " vs untraced " << FormatSummary(untraced, "ms")
+            << " (fastest of 2 warm passes each)\n";
   auto& m = out->metrics;
   m["workload.build_s"] = Median(setup_s);
   m["optimizer.plan_ms"] = plan_s * 1e3;
-  m["optimizer.plan_p99_ms"] = ReportablePercentile(pass.plan_ms, 0.99);
+  m["optimizer.plan_p99_ms"] = ReportablePercentile(plan_ms, 0.99);
   m["exec.execute_s"] = exec_s;
   m["exec.query_p50_ms"] = ex.p50;
   m["exec.query_max_s"] = ex.max * 1e-3;
   m["exec.slowest_share"] = ex.max * 1e-3 / exec_s;
-  m["exec.queries"] = static_cast<double>(pass.exec_ms.size());
-  m["selection.record_ms"] = Sum(pass.record_ms) / pass.record_ms.size();
+  m["exec.queries"] = static_cast<double>(exec_ms.size());
+  m["selection.record_ms"] = Sum(record_ms) / record_ms.size();
   m["selection.records"] = static_cast<double>(n);
   m["selection.select_us"] = Summarize(select_us).mean;
   m["mart.fit_s"] = train_s / static_cast<double>(fit_s.size());
@@ -357,12 +488,12 @@ void RunPipelineWorkload(const Options& options, Outcome* out) {
   m["pipeline_s"] = pipeline_s;
   m["train_s"] = train_s;
   m["records_per_s"] = records_per_s;
+  m["throughput_per_s"] = static_cast<double>(n) / pipeline_s;
   m["request_p99_ms"] = ReportablePercentile(query_ms, 0.99);
   m["failed_frac"] = static_cast<double>(pass.failed) /
                      static_cast<double>(pass.attempted);
   m["pipeline.layer_coverage"] = layers_s / pipeline_s;
-  m["obs.trace_overhead"] =
-      Summarize(pass.query_ms).p50 / Summarize(first_pass.query_ms).p50 - 1.0;
+  m["obs.trace_overhead"] = traced.p50 / untraced.p50 - 1.0;
 }
 
 }  // namespace perfbench

@@ -1,4 +1,4 @@
-// Serving workloads: `rpe_cli serve-tcp` launched as a child process and
+// The serving workload: `rpe_cli serve-tcp` launched as a child process and
 // driven over loopback by this file's own open-loop client, which speaks
 // serving/wire.h directly so every request is timed from the moment it
 // was due (not from when it was sent) and the client's own lateness is
@@ -48,116 +48,102 @@ using rpe::Status;
 using rpe::WireFrame;
 
 // ---------------------------------------------------------------------------
-// Workload definitions. Rates are frames per second summed over the load
-// connections; the latency limits are frozen with the workloads.
+// The workload, serve_step1: serve-tcp defaults (tpch, scale 5, 40 replay
+// runs, 1 shard, 50 trees) loaded with 1-step Advance frames. Rates are
+// frames per second summed over the load connections; the latency limit is
+// frozen with the workload.
 
-struct ServeSpec {
-  const char* name;
-  /// serve-tcp flags after the workload flags below.
-  std::vector<std::string> extra_args;
-  double scale;
-  size_t queries;
-  size_t trees;
-  /// Load connections (one client thread each).
-  size_t conns;
-  uint32_t steps_per_advance;
-  /// Load threads busy-poll (one CPU each) instead of sleeping between
-  /// due times: their wake-up latency then stays out of the request
-  /// latency. Off where the load must leave the CPUs to the trainer.
-  bool spin;
-  double nominal_rate;
-  /// Unrecorded lead-in at the nominal rate (one retrain cycle instead
-  /// when there is ingest).
-  double warmup_s;
-  double p90_limit_ms;
-  RateLadder ladder;
-  /// Online ingest on one more connection: beside the whole load window
-  /// (ingest_beside_load), or else as a probe after the traced phase of
-  /// traced runs only (0 = none).
-  bool ingest_beside_load;
-  size_t ingest_batch;
-  double ingest_period_s;
-  size_t retrain_every;
-  size_t corpus_cap;
-  /// Server launches per run (setup_s is their median), and how many of
-  /// the last ones share the nominal phase, so that no single launch's
-  /// placement on the (virtual) CPUs sets the result.
-  size_t launches;
-  size_t nominal_sessions;
-  /// Windows (fractions of --seconds; one retrain cycle with ingest)
-  /// whose p50/p90 medians are the reported request latencies; a stall
-  /// then moves one window, not the result.
-  double window_frac;
-  /// Run indices replayed step by step over the wire for the checks.
-  size_t verify_runs;
-  /// Check the replayed progress bit for bit against an in-process
-  /// ProgressMonitor (only meaningful while no retrain can publish).
-  bool bit_identical;
-};
-
-const ServeSpec& SpecFor(const std::string& workload) {
-  static const ServeSpec kStep1{
-      "serve_step1", {"--conn-inflight", "4096", "--max-inflight", "16384"},
-      5.0, 40, 50,
-      /*conns=*/2, /*steps_per_advance=*/1, /*spin=*/true,
-      /*nominal_rate=*/20000.0, /*warmup_s=*/0.3, /*p90_limit_ms=*/1.0,
-      RateLadder{40000.0, 1.08, 60, 6},
-      /*ingest_beside_load=*/false,
-      /*ingest_batch=*/8, /*ingest_period_s=*/0.05,
-      /*retrain_every=*/48, /*corpus_cap=*/4096,
-      /*launches=*/7, /*nominal_sessions=*/7, /*window_frac=*/0.025,
-      /*verify_runs=*/40, /*bit_identical=*/true};
-  static const ServeSpec kOnline{
-      "serve_online", {}, 10.0, 400, 100,
-      /*conns=*/3, /*steps_per_advance=*/64, /*spin=*/false,
-      /*nominal_rate=*/3000.0, /*warmup_s=*/0.0, /*p90_limit_ms=*/10.0,
-      RateLadder{3000.0, 1.08, 60, 6},
-      /*ingest_beside_load=*/true,
-      /*ingest_batch=*/10, /*ingest_period_s=*/0.15,
-      /*retrain_every=*/300, /*corpus_cap=*/800,
-      /*launches=*/3, /*nominal_sessions=*/1, /*window_frac=*/0.05,
-      /*verify_runs=*/24, /*bit_identical=*/false};
-  return workload == kStep1.name ? kStep1 : kOnline;
-}
+constexpr double kScale = 5.0;
+constexpr size_t kQueries = 40;
+constexpr size_t kTrees = 50;
+/// Load connections, one client thread each. The threads busy-poll (one
+/// CPU each) between due times, so their wake-up latency stays out of the
+/// request latency; with serve-tcp's one IO thread, two of them leave a
+/// CPU of the four free.
+constexpr size_t kConns = 2;
+constexpr uint32_t kStepsPerAdvance = 1;
+/// Frames due in one send at most; frames due together (after a stall,
+/// or at ladder rates above one per send) share one syscall.
+constexpr size_t kMaxFramesPerSend = 64;
+constexpr double kNominalRate = 20000.0;
+/// Unrecorded lead-in at the nominal rate after each launch.
+constexpr double kWarmupS = 0.3;
+constexpr double kP90LimitMs = 1.0;
+/// The ladder starts at the nominal rate, so that only a run whose nominal
+/// latency already misses the limit finds no sustained rate.
+const RateLadder kLadder{kNominalRate, 1.08, 80, 7};
+/// Failed rungs per search that are run a second time (a stall on the
+/// shared host can fail one run of a rung far below the sustained rate).
+constexpr size_t kRungRetries = 2;
+/// The traced run's ingest probe: kIngestBatch records every
+/// kIngestPeriodS, one retrain per kRetrainEvery accepted records.
+constexpr size_t kIngestBatch = 8;
+constexpr double kIngestPeriodS = 0.05;
+constexpr size_t kRetrainEvery = 48;
+constexpr size_t kCorpusCap = 4096;
+constexpr double kRetrainCycleS =
+    static_cast<double>(kRetrainEvery) * kIngestPeriodS / kIngestBatch;
+/// Server launches per run: setup_s is their median, and they share the
+/// nominal phase, so that no single launch's placement on the (virtual)
+/// CPUs sets the result.
+constexpr size_t kLaunches = 7;
+/// Windows (fractions of --seconds) whose p50/p90 medians are the reported
+/// request latencies; a stall then moves one window, not the result.
+constexpr double kWindowFrac = 0.025;
+/// Run indices replayed step by step over the wire for the checks.
+constexpr size_t kVerifyRuns = 40;
 
 /// Lateness growth (last fifth vs first fifth of a phase) that marks the
 /// generator as falling behind.
 constexpr double kLateGrowthToleranceMs = 0.5;
 /// Open sessions each load connection interleaves.
 constexpr size_t kSlotsPerConn = 8;
-/// Share of --seconds spent at the nominal rate, and per ladder rung.
-constexpr double kNominalFrac = 0.45;
+/// The nominal phase takes --seconds, shared by the launches. The traced
+/// run adds the ladder, of kLadderFrac of --seconds in rungs of kRungFrac.
+constexpr double kLadderFrac = 0.55;
 constexpr double kRungFrac = 0.04;
 /// Windows per ladder rung; a rung passes when the median window p90 is
 /// within the limit (so a lone stall does not fail it, a backlog does).
 constexpr int kWindowsPerRung = 5;
+/// Before each launch's nominal phase (after its lead-in) and before the
+/// ladder, an unrecorded probe of kQuietProbeS at the nominal rate must
+/// pass as a ladder rung would; while it does not, the load goes on
+/// probing, for at most kQuietWaitS per run. On the shared host this was
+/// built on,
+/// periods of a minute or so come and go in which every request at the
+/// nominal rate waits milliseconds (the nominal window p90 rose from
+/// 0.024 ms to 1.2-1.5 ms in 4 of about 70 runs, and 2 of them found no
+/// sustained rate at all). A program whose own latency misses the limit
+/// is still measured, after the wait.
+constexpr double kQuietProbeS = 0.5;
+constexpr double kQuietWaitS = 60.0;
 
-std::vector<std::string> ServerArgs(const ServeSpec& spec) {
-  std::vector<std::string> args = {
-      "serve-tcp",   "--kind",   "tpch",
-      "--scale",     std::to_string(static_cast<int>(spec.scale)),
-      "--queries",   std::to_string(spec.queries),
-      "--trees",     std::to_string(spec.trees),
-      "--shards",    "1",
-      "--port",      "0"};
-  if (spec.ingest_batch > 0) {
-    args.insert(args.end(),
-                {"--retrain-every", std::to_string(spec.retrain_every),
-                 "--corpus-cap", std::to_string(spec.corpus_cap)});
-  }
-  args.insert(args.end(), spec.extra_args.begin(), spec.extra_args.end());
-  return args;
+std::vector<std::string> ServerArgs() {
+  return {
+      "serve-tcp",       "--kind",         "tpch",
+      "--scale",         std::to_string(static_cast<int>(kScale)),
+      "--queries",       std::to_string(kQueries),
+      "--trees",         std::to_string(kTrees),
+      "--shards",        "1",
+      "--port",          "0",
+      "--retrain-every", std::to_string(kRetrainEvery),
+      "--corpus-cap",    std::to_string(kCorpusCap),
+      // Raised in-flight caps, so that the ladder finds where the server
+      // stops keeping up rather than where admission control refuses a
+      // burst.
+      "--conn-inflight", "4096",
+      "--max-inflight",  "16384"};
 }
 
-rpe::WorkloadConfig ReplicaConfig(const ServeSpec& spec) {
+rpe::WorkloadConfig ReplicaConfig() {
   // serve-tcp's workload flags, as ParseWorkloadFlags reads them.
   rpe::WorkloadConfig config;
   config.kind = rpe::WorkloadKind::kTpch;
   config.name = "tpch";
-  config.scale = spec.scale;
+  config.scale = kScale;
   config.zipf = 1.0;
   config.tuning = rpe::TuningLevel::kPartiallyTuned;
-  config.num_queries = spec.queries;
+  config.num_queries = kQueries;
   config.seed = 1;
   return config;
 }
@@ -409,9 +395,6 @@ struct LoadConn {
   SeededRng rng;
   std::vector<LoadSlot> slots;
   size_t rr = 0;
-  uint32_t steps_per_advance = 1;
-  /// Busy-poll instead of sleeping until the next due time.
-  bool spin = false;
   // Client-side totals for the kStats reconciliation.
   uint64_t opens = 0, closes = 0, steps = 0;
 };
@@ -498,7 +481,7 @@ int PickSlot(LoadConn* c) {
   return -1;
 }
 
-/// The slot's next request: Open, Advance of up to steps_per_advance
+/// The slot's next request: Open, Advance of up to kStepsPerAdvance
 /// steps, or Close once its replay is used up.
 std::string NextRequest(LoadConn* c, uint32_t k, MsgType* op,
                         uint32_t* steps) {
@@ -515,7 +498,7 @@ std::string NextRequest(LoadConn* c, uint32_t k, MsgType* op,
     *op = MsgType::kClose;
     return rpe::EncodeCloseRequest({s.session});
   }
-  *steps = std::min(c->steps_per_advance, s.remaining);
+  *steps = std::min(kStepsPerAdvance, s.remaining);
   s.remaining -= *steps;
   *op = MsgType::kAdvance;
   return rpe::EncodeAdvanceRequest({s.session, *steps});
@@ -571,8 +554,9 @@ void HandleResponse(LoadConn* c, const Pending& p, const WireFrame& f,
 }
 
 /// One connection's share of a phase: requests due every 1/rate seconds
-/// from start_ns, each sent when due (or as soon after as the thread can),
-/// then a drain of every outstanding response.
+/// from start_ns, each sent when due (or as soon after as the thread can;
+/// the frames due by then go out together), then a drain of every
+/// outstanding response. The thread busy-polls throughout.
 PhaseSamples RunConnPhase(LoadConn* c, double rate, uint64_t start_ns,
                           uint64_t end_ns, bool traced, bool record) {
   PhaseSamples out;
@@ -580,38 +564,44 @@ PhaseSamples RunConnPhase(LoadConn* c, double rate, uint64_t start_ns,
   double next_due = static_cast<double>(start_ns);
   const uint64_t drain_deadline = end_ns + 5000000000ull;
   std::deque<Pending> pending;
+  std::string batch;
   while (out.fatal.empty()) {
     uint64_t now = NowNs();
-    bool blocked = false;
+    batch.clear();
+    const size_t first_new = pending.size();
     while (next_due <= static_cast<double>(now) &&
-           next_due < static_cast<double>(end_ns)) {
+           next_due < static_cast<double>(end_ns) &&
+           pending.size() - first_new < kMaxFramesPerSend) {
       const int k = PickSlot(c);
-      if (k < 0) {
-        blocked = true;
-        break;
-      }
+      if (k < 0) break;
       MsgType op;
       uint32_t steps = 0;
-      const std::string req =
-          NextRequest(c, static_cast<uint32_t>(k), &op, &steps);
-      const uint64_t due = static_cast<uint64_t>(next_due);
+      batch += NextRequest(c, static_cast<uint32_t>(k), &op, &steps);
+      pending.push_back({static_cast<uint64_t>(next_due), 0, op,
+                         static_cast<uint32_t>(k), steps});
+      ++c->slots[k].inflight;
+      next_due += interval;
+    }
+    if (!batch.empty()) {
       const uint64_t t0 = NowNs();
-      if (!c->wire.SendAll(req).ok()) {
+      if (!c->wire.SendAll(batch).ok()) {
         out.fatal = "send failed";
         break;
       }
       const uint64_t t1 = NowNs();
-      pending.push_back({due, t0, op, static_cast<uint32_t>(k), steps});
-      ++c->slots[k].inflight;
-      if (record) {
-        ++out.sent;
-        out.late_ms.push_back(static_cast<double>(t0 - due) * 1e-6);
-        if (traced) out.send_us.push_back(static_cast<double>(t1 - t0) * 1e-3);
+      for (size_t i = first_new; i < pending.size(); ++i) {
+        pending[i].send_ns = t0;
+        if (record) {
+          ++out.sent;
+          out.late_ms.push_back(
+              static_cast<double>(t0 - pending[i].due_ns) * 1e-6);
+          if (traced) {
+            out.send_us.push_back(static_cast<double>(t1 - t0) * 1e-3);
+          }
+        }
       }
-      next_due += interval;
       now = t1;
     }
-    if (!out.fatal.empty()) break;
     const bool sending = next_due < static_cast<double>(end_ns);
     if (!sending && pending.empty()) break;
     if (now > drain_deadline) {
@@ -619,19 +609,8 @@ PhaseSamples RunConnPhase(LoadConn* c, double rate, uint64_t start_ns,
       out.fatal = "responses still outstanding 5 s after the phase";
       break;
     }
-    // Wait for a response or the next due time, whichever comes first.
-    int64_t wait_ns = 1000000;  // draining / blocked: 1 ms slices
-    if (sending && !blocked) {
-      wait_ns = static_cast<int64_t>(next_due) - static_cast<int64_t>(now);
-    }
     pollfd p{c->wire.fd(), POLLIN, 0};
-    if (wait_ns > 5000 && !c->spin) {
-      timespec ts{static_cast<time_t>(wait_ns / 1000000000),
-                  static_cast<long>(wait_ns % 1000000000)};
-      ::ppoll(&p, 1, &ts, nullptr);
-    } else {
-      ::poll(&p, 1, 0);
-    }
+    ::poll(&p, 1, 0);
     if ((p.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
     if (!c->wire.ReadAvailable().ok()) {
       out.fatal = "connection lost";
@@ -732,11 +711,12 @@ struct IngestResult {
   std::string fatal;
 };
 
-/// Offer `batch` records every `period_s` until `stop`; after each ack
-/// that completes another multiple of `retrain_every` accepted records,
+/// Offer kIngestBatch records every kIngestPeriodS until `stop`; after
+/// each ack that completes another multiple of kRetrainEvery accepted
+/// records,
 /// poll kStats until model_generation passes the matching generation.
 void RunIngest(WireConn* conn, const std::vector<rpe::PipelineRecord>& pool,
-               const ServeSpec& spec, uint64_t seed, uint64_t gen0,
+               uint64_t seed, uint64_t gen0,
                const std::atomic<bool>* stop, IngestResult* out) {
   SeededRng rng(seed ^ 0x1d6e57ull);
   struct Awaiting {
@@ -750,7 +730,7 @@ void RunIngest(WireConn* conn, const std::vector<rpe::PipelineRecord>& pool,
     const double now = NowS();
     if (now >= next) {
       rpe::IngestBatchRequest req;
-      for (size_t i = 0; i < spec.ingest_batch; ++i) {
+      for (size_t i = 0; i < kIngestBatch; ++i) {
         req.records.push_back(pool[rng.Next() % pool.size()]);
       }
       const auto f = conn->Call(rpe::EncodeIngestBatchRequest(req));
@@ -772,12 +752,12 @@ void RunIngest(WireConn* conn, const std::vector<rpe::PipelineRecord>& pool,
         }
         out->accepted += ack->accepted;
         out->dropped += ack->dropped;
-        while (out->accepted >= (cycles + 1) * spec.retrain_every) {
+        while (out->accepted >= (cycles + 1) * kRetrainEvery) {
           ++cycles;
           awaiting.push_back({t_ack, gen0 + cycles});
         }
       }
-      next += spec.ingest_period_s;
+      next += kIngestPeriodS;
       continue;
     }
     if (!awaiting.empty()) {
@@ -807,9 +787,8 @@ void RunIngest(WireConn* conn, const std::vector<rpe::PipelineRecord>& pool,
 
 struct Replica {
   rpe::Workload workload;
-  /// runs[i] replays query query_index[i] (every query when all succeed).
+  /// runs[i] replays query i (when every query succeeds).
   std::vector<rpe::OwnedRun> runs;
-  std::vector<size_t> query_index;
   std::vector<rpe::PipelineRecord> records;
   std::shared_ptr<const rpe::SelectorStack> stack;
   // Layer timings.
@@ -818,24 +797,15 @@ struct Replica {
   uint64_t failed_queries = 0;
 };
 
-/// Execute the queries `which` (all when empty); train the initial stack
-/// when `train`.
-Status BuildReplica(const ServeSpec& spec, const std::vector<size_t>& which,
-                    bool train, Replica* r) {
-  const rpe::WorkloadConfig config = ReplicaConfig(spec);
+/// Execute every query and train the initial stack.
+Status BuildReplica(Replica* r) {
+  const rpe::WorkloadConfig config = ReplicaConfig();
   double t = NowS();
   RPE_ASSIGN_OR_RETURN(r->workload, rpe::BuildWorkload(config));
   r->build_s = NowS() - t;
   rpe::RunOptions options;
   rpe::CardinalityEstimator card(r->workload.catalog.get());
-  std::vector<size_t> queries = which;
-  if (queries.empty()) {
-    for (size_t q = 0; q < r->workload.queries.size(); ++q) {
-      queries.push_back(q);
-    }
-  }
-  for (size_t q : queries) {
-    const rpe::QuerySpec& qs = r->workload.queries[q];
+  for (const rpe::QuerySpec& qs : r->workload.queries) {
     // serve-tcp plans every query with a fresh planner (RunQuery).
     rpe::Planner planner(r->workload.catalog.get(), &card, options.planner);
     const uint64_t t0 = NowNs();
@@ -868,11 +838,9 @@ Status BuildReplica(const ServeSpec& spec, const std::vector<size_t>& which,
     r->exec_ms.push_back(static_cast<double>(t2 - t1) * 1e-6);
     r->record_ms.push_back(static_cast<double>(t3 - t2) * 1e-6);
     r->runs.push_back(std::move(owned));
-    r->query_index.push_back(q);
   }
-  if (!train) return Status::OK();
   rpe::MartParams params = rpe::EstimatorSelector::DefaultParams();
-  params.num_trees = static_cast<int>(spec.trees);
+  params.num_trees = static_cast<int>(kTrees);
   auto stack = std::make_shared<rpe::SelectorStack>();
   t = NowS();
   stack->static_selector = rpe::EstimatorSelector::Train(
@@ -932,9 +900,9 @@ struct ServingLayers {
 };
 
 /// Replay the replica's runs through an in-process ShardedMonitorService
-/// with the frames the load sends (Open, Advance of steps_per_advance,
+/// with the frames the load sends (Open, Advance of kStepsPerAdvance,
 /// Close), timing decode, the service call and encode of each frame.
-ServingLayers MeasureServingLayers(const ServeSpec& spec, const Replica& r) {
+ServingLayers MeasureServingLayers(const Replica& r) {
   ServingLayers out;
   rpe::ShardedMonitorService::Options so;
   so.num_shards = 1;
@@ -976,7 +944,7 @@ ServingLayers MeasureServingLayers(const ServeSpec& spec, const Replica& r) {
     bool done = false;
     while (!done) {
       const auto areq = decode(
-          rpe::EncodeAdvanceRequest({*id, spec.steps_per_advance}),
+          rpe::EncodeAdvanceRequest({*id, kStepsPerAdvance}),
           rpe::DecodeAdvanceRequest);
       if (!areq.ok()) return out;
       rpe::AdvanceResponse resp;
@@ -1026,30 +994,29 @@ class TimedPublisher : public rpe::ModelPublisher {
 };
 
 /// The server's retrain → publish cycle in process: seed the corpus with
-/// the replica's records, then push retrain_every records at a time and
+/// the replica's records, then push kRetrainEvery records at a time and
 /// time push → SwapModels.
-std::vector<double> MeasureRetrains(const ServeSpec& spec, const Replica& r,
-                                    int cycles) {
+std::vector<double> MeasureRetrains(const Replica& r, int cycles) {
   rpe::ShardedMonitorService::Options so;
   so.num_shards = 1;
   rpe::ShardedMonitorService service(r.stack, so);
   TimedPublisher publisher(&service);
   rpe::RecordIngestQueue queue(1024);
   rpe::TrainerLoop::Options to;
-  to.retrain_min_records = spec.retrain_every;
-  to.max_corpus = spec.corpus_cap;
+  to.retrain_min_records = kRetrainEvery;
+  to.max_corpus = kCorpusCap;
   to.min_corpus = std::min<size_t>(to.min_corpus,
                                    std::max<size_t>(r.records.size(), 1));
   to.pool = rpe::PoolSix();
   to.params = rpe::EstimatorSelector::DefaultParams();
-  to.params.num_trees = static_cast<int>(spec.trees);
+  to.params.num_trees = static_cast<int>(kTrees);
   rpe::TrainerLoop trainer(&queue, &publisher, to);
   trainer.SeedCorpus(r.records);
   std::vector<double> out;
   size_t next = 0;
   for (int c = 0; c < cycles; ++c) {
     const uint64_t t0 = NowNs();
-    for (size_t i = 0; i < spec.retrain_every; ++i) {
+    for (size_t i = 0; i < kRetrainEvery; ++i) {
       queue.Push(r.records[next++ % r.records.size()]);
     }
     while (trainer.retrains() <= static_cast<uint64_t>(c)) {
@@ -1083,7 +1050,10 @@ struct SessionResult {
     double p90;
     bool late_grows;
     uint64_t failed;
-    bool ok;
+    /// Why the rung failed ("" when it passed).
+    std::string miss;
+    /// The second run of a rung that failed.
+    bool retry;
   };
   std::vector<Rung> rungs;
   LadderResult ladder;
@@ -1093,80 +1063,62 @@ struct SessionResult {
   double peak_rss_mb = 0.0;
 };
 
-/// Drive one launched server: the nominal-rate phase (`nominal_s`, with
-/// the online ingest beside it), and on the `last` launch also the traced
-/// twin (traced runs), the ladder (untraced runs) and the output checks.
-Status RunSession(const Options& options, const ServeSpec& spec,
-                  const Replica& replica, const std::vector<size_t>& verify_idx,
-                  bool full_replica, ServerProcess* server, bool last,
-                  double nominal_s, uint64_t session_seed, SessionResult* r) {
+/// Drive one launched server: the nominal-rate phase (`nominal_s`), and on
+/// the `last` launch also the output checks and, in traced runs, the
+/// traced twin of the nominal phase, the ladder and the ingest probe.
+Status RunSession(const Options& options, const Replica& replica,
+                  const std::vector<size_t>& verify_idx, ServerProcess* server,
+                  bool last, double nominal_s, uint64_t session_seed,
+                  double* quiet_wait_s, SessionResult* r) {
   WireConn control;
   RPE_RETURN_NOT_OK(control.Connect(server->port()));
   RPE_ASSIGN_OR_RETURN(const rpe::WireStats before, FetchStats(&control));
 
   std::vector<std::unique_ptr<LoadConn>> conns;
-  for (size_t i = 0; i < spec.conns; ++i) {
+  for (size_t i = 0; i < kConns; ++i) {
     conns.push_back(std::make_unique<LoadConn>(session_seed * 1000003 + i));
-    conns.back()->steps_per_advance = spec.steps_per_advance;
-    conns.back()->spin = spec.spin;
     RPE_RETURN_NOT_OK(conns.back()->wire.Connect(server->port()));
   }
 
-  std::atomic<bool> stop_ingest{false};
-  WireConn ingest_conn;
-  std::thread ingest_thread;
-  auto start_ingest = [&]() -> Status {
-    RPE_RETURN_NOT_OK(ingest_conn.Connect(server->port()));
-    ingest_thread = std::thread([&] {
-      RunIngest(&ingest_conn, replica.records, spec, session_seed,
-                before.model_generation, &stop_ingest, &r->ingest);
-    });
-    return Status::OK();
-  };
-  struct JoinOnExit {
-    std::atomic<bool>* stop;
-    std::thread* thread;
-    ~JoinOnExit() {
-      *stop = true;
-      if (thread->joinable()) thread->join();
-    }
-  } join_ingest{&stop_ingest, &ingest_thread};
-  const bool ingest_probe =
-      !spec.ingest_beside_load && spec.ingest_batch > 0 && last &&
-      options.trace;
-  if (spec.ingest_beside_load) RPE_RETURN_NOT_OK(start_ingest());
   std::string fatal;
-  // With ingest, the lead-in is one retrain cycle (the trainer is then in
-  // its steady state), and the nominal phase and its windows are whole
-  // cycles, so each window holds one retrain whatever the phase.
-  double window_s = spec.window_frac * options.seconds;
-  double warmup_s = spec.warmup_s;
-  const double cycle_s =
-      static_cast<double>(spec.retrain_every) * spec.ingest_period_s /
-      static_cast<double>(std::max<size_t>(spec.ingest_batch, 1));
-  if (spec.ingest_beside_load) {
-    warmup_s = cycle_s;
-    window_s = cycle_s;
-    nominal_s = cycle_s * std::max(1.0, std::round(nominal_s / cycle_s));
+  auto wait_quiet = [&](const char* before) {
+    while (fatal.empty()) {
+      const PhaseSamples probe =
+          RunPhase(conns, kNominalRate, kQuietProbeS, false, true);
+      fatal = probe.fatal;
+      const Windows w =
+          WindowPercentiles(probe, kQuietProbeS / kWindowsPerRung);
+      const double p90 =
+          w.p90.size() * 2 > kWindowsPerRung ? Median(w.p90) : -1.0;
+      if ((p90 >= 0.0 && p90 <= kP90LimitMs) ||
+          *quiet_wait_s >= kQuietWaitS) {
+        return;
+      }
+      std::cout << "quiet probe before the " << before
+                << ": median window p90 "
+                << (p90 >= 0 ? Fmt(p90) + " ms" : "n/a") << " (limit "
+                << kP90LimitMs << " ms); probing again\n";
+      *quiet_wait_s += kQuietProbeS;
+    }
+  };
+  RunPhase(conns, kNominalRate, kWarmupS, false, /*record=*/false);
+  wait_quiet("nominal phase");
+  if (fatal.empty()) {
+    r->nominal = RunPhase(conns, kNominalRate, nominal_s, false, true);
+    fatal = r->nominal.fatal;
   }
-  RunPhase(conns, spec.nominal_rate, warmup_s, false, /*record=*/false);
-  r->nominal = RunPhase(conns, spec.nominal_rate, nominal_s, false, true);
-  fatal = r->nominal.fatal;
-  r->windows = WindowPercentiles(r->nominal, window_s);
+  r->windows = WindowPercentiles(r->nominal, kWindowFrac * options.seconds);
   if (last && options.trace && fatal.empty()) {
-    r->traced = RunPhase(conns, spec.nominal_rate, nominal_s, true, true);
+    r->traced = RunPhase(conns, kNominalRate, nominal_s, true, true);
     fatal = r->traced.fatal;
   }
-  // The ladder measures serving capacity alone: the ingest stops first.
-  stop_ingest = true;
-  if (ingest_thread.joinable()) ingest_thread.join();
-  if (last && !options.trace && fatal.empty()) {
+  if (last && options.trace && fatal.empty()) wait_quiet("ladder");
+  if (last && options.trace && fatal.empty()) {
     const double rung_s = kRungFrac * options.seconds;
     const size_t budget = static_cast<size_t>(
-        std::max(1.0, std::floor((1.0 - kNominalFrac) * options.seconds /
-                                 rung_s)) - 1);
+        std::max(1.0, std::floor(kLadderFrac / kRungFrac) - 1));
     r->ladder = SearchLadder(
-        spec.ladder,
+        kLadder,
         [&](double rate) {
           PhaseSamples s = RunPhase(conns, rate, rung_s, false, true);
           if (!s.fatal.empty()) fatal = s.fatal;
@@ -1174,64 +1126,74 @@ Status RunSession(const Options& options, const ServeSpec& spec,
           const double p90 =
               w.p90.size() * 2 > kWindowsPerRung ? Median(w.p90) : -1.0;
           const bool grows = LatenessGrows(s.late_ms, kLateGrowthToleranceMs);
-          const bool ok = s.fatal.empty() && p90 >= 0.0 &&
-                          p90 <= spec.p90_limit_ms && !grows &&
-                          s.failed() * 100 <= s.sent;
-          r->rungs.push_back({rate, p90, grows, s.failed(), ok});
-          return ok;
+          std::string miss;
+          if (!s.fatal.empty()) {
+            miss = "load error";
+          } else if (grows) {
+            miss = "lateness grows";
+          } else if (s.failed() * 100 > s.sent) {
+            miss = "failures";
+          } else if (p90 < 0.0) {
+            miss = "too few windows";
+          } else if (p90 > kP90LimitMs) {
+            miss = "p90 over the limit";
+          }
+          const bool retry = !r->rungs.empty() &&
+                             r->rungs.back().rate == rate &&
+                             !r->rungs.back().miss.empty();
+          r->rungs.push_back({rate, p90, grows, s.failed(), miss, retry});
+          return miss.empty();
         },
-        std::max<size_t>(budget, 1));
+        std::max<size_t>(budget, 1), kRungRetries);
   }
   if (!fatal.empty()) return Status::Internal("load: " + fatal);
-  if (!r->ingest.fatal.empty()) {
-    return Status::Internal("ingest: " + r->ingest.fatal);
-  }
   RPE_RETURN_NOT_OK(FinishAll(conns));
 
   // Output checks: replay the verified runs step by step over the wire.
   for (size_t v = 0; last && v < verify_idx.size(); ++v) {
-    const size_t run_i = full_replica ? verify_idx[v] : v;
-    if (replica.query_index[run_i] != verify_idx[v]) {
-      return Status::Internal("replica query order differs from the server's");
-    }
     uint32_t observations = 0;
     RPE_ASSIGN_OR_RETURN(
         const std::vector<double> series,
         ReplayOverWire(&control, static_cast<uint32_t>(verify_idx[v]),
                        &observations));
     r->verify_frames += 2 + series.size();
-    const rpe::QueryRunResult& run = replica.runs[run_i].result;
+    const rpe::QueryRunResult& run = replica.runs[verify_idx[v]].result;
     if (observations != run.observations.size()) {
       return Status::Internal("served run " + std::to_string(verify_idx[v]) +
                               " has another observation count than the "
                               "replica");
     }
-    if (spec.bit_identical) {
-      const rpe::ProgressMonitor monitor(&replica.stack->static_selector,
-                                         &replica.stack->dynamic_selector);
-      if (series != monitor.ReplayQueryProgress(run)) {
-        return Status::Internal(
-            "served progress of run " + std::to_string(verify_idx[v]) +
-            " is not bit-identical to the in-process replay");
-      }
+    const rpe::ProgressMonitor monitor(&replica.stack->static_selector,
+                                       &replica.stack->dynamic_selector);
+    if (series != monitor.ReplayQueryProgress(run)) {
+      return Status::Internal(
+          "served progress of run " + std::to_string(verify_idx[v]) +
+          " is not bit-identical to the in-process replay");
     }
     r->l1.push_back(SeriesL1(series, run));
   }
-  if (last && spec.bit_identical) {
+  if (last) {
     std::cout << "check: " << verify_idx.size()
               << " served sessions bit-identical to ProgressMonitor::"
                  "ReplayQueryProgress\n";
   }
 
+  const bool ingest_probe = last && options.trace;
   if (ingest_probe) {
     // The ingest → retrain → publish path, measured over the wire for
     // eight retrain cycles after the checks above (a publish changes the
     // served progress) and with no session load.
-    stop_ingest = false;
-    RPE_RETURN_NOT_OK(start_ingest());
-    std::this_thread::sleep_for(std::chrono::duration<double>(8 * cycle_s));
-    stop_ingest = true;
-    ingest_thread.join();
+    WireConn ingest_conn;
+    RPE_RETURN_NOT_OK(ingest_conn.Connect(server->port()));
+    std::atomic<bool> stop{false};
+    std::thread ingest([&] {
+      RunIngest(&ingest_conn, replica.records, session_seed,
+                before.model_generation, &stop, &r->ingest);
+    });
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(8 * kRetrainCycleS));
+    stop = true;
+    ingest.join();
     if (!r->ingest.fatal.empty()) {
       return Status::Internal("ingest: " + r->ingest.fatal);
     }
@@ -1265,7 +1227,7 @@ Status RunSession(const Options& options, const ServeSpec& spec,
       steps != client_steps) {
     return Status::Internal("kStats session/step counters do not reconcile");
   }
-  if (spec.ingest_beside_load || ingest_probe) {
+  if (ingest_probe) {
     const IngestResult& in = r->ingest;
     const uint64_t acc = after.records_ingested - before.records_ingested;
     const uint64_t drop =
@@ -1282,7 +1244,7 @@ Status RunSession(const Options& options, const ServeSpec& spec,
       return Status::Internal("kStats ingest counters do not reconcile");
     }
     if (in.publish_lag_s.empty()) {
-      return Status::Internal("no retrain was published during the run");
+      return Status::Internal("no retrain was published during the probe");
     }
   }
   r->peak_rss_mb = server->PeakRssMb();
@@ -1292,26 +1254,19 @@ Status RunSession(const Options& options, const ServeSpec& spec,
 }  // namespace
 
 void RunServeWorkload(const Options& options, Outcome* out) {
-  const ServeSpec& spec = SpecFor(options.workload);
-
   // 1. In-process replica (before any server runs, so nothing contends):
   //    the verified runs' ground truth, the bit-identical reference, the
   //    ingest record pool, and — traced — the per-layer timings.
   // The verified runs are a fixed, evenly spaced sample of the corpus (not
   // drawn from the seed), so selection_l1 compares like with like.
   std::vector<size_t> verify_idx;
-  const size_t verify_stride =
-      std::max<size_t>(spec.queries / spec.verify_runs, 1);
-  for (size_t q = 0; q < spec.queries && verify_idx.size() < spec.verify_runs;
-       q += verify_stride) {
+  for (size_t q = 0; q < kQueries && verify_idx.size() < kVerifyRuns;
+       q += std::max<size_t>(kQueries / kVerifyRuns, 1)) {
     verify_idx.push_back(q);
   }
-  const bool full_replica = spec.bit_identical || options.trace;
   Replica replica;
   {
-    const Status st = BuildReplica(
-        spec, full_replica ? std::vector<size_t>{} : verify_idx,
-        /*train=*/full_replica, &replica);
+    const Status st = BuildReplica(&replica);
     if (!st.ok()) return out->Fail("replica: " + st.ToString());
     if (replica.failed_queries > 0) {
       return out->Fail("replica: a query failed to plan or execute");
@@ -1320,37 +1275,32 @@ void RunServeWorkload(const Options& options, Outcome* out) {
   ServingLayers layers;
   std::vector<double> retrain_s;
   if (options.trace) {
-    layers = MeasureServingLayers(spec, replica);
-    if (spec.ingest_batch > 0) retrain_s = MeasureRetrains(spec, replica, 3);
+    layers = MeasureServingLayers(replica);
+    retrain_s = MeasureRetrains(replica, 3);
   }
 
-  // 2. Launch the server spec.launches times (setup_s is the median); the
-  //    last nominal_sessions launches share the nominal phase, and the
-  //    last launch also runs the ladder and the checks.
-  const std::vector<std::string> args = ServerArgs(spec);
-  const double nominal_s = kNominalFrac * options.seconds /
-                           static_cast<double>(spec.nominal_sessions);
+  // 2. Launch the server kLaunches times (setup_s is the median); every
+  //    launch takes a share of the nominal phase, and the last one also
+  //    runs the ladder and the checks.
+  const std::vector<std::string> args = ServerArgs();
+  const double nominal_s = options.seconds / static_cast<double>(kLaunches);
   std::vector<double> setup_s;
-  std::vector<SessionResult> sessions;
-  const int launches = static_cast<int>(spec.launches);
-  for (int i = 0; i < launches; ++i) {
+  std::vector<SessionResult> sessions(kLaunches);
+  double quiet_wait_s = 0.0;
+  for (size_t i = 0; i < kLaunches; ++i) {
     ServerProcess server;
     const Status st = server.Launch(
         options.cli, args,
-        options.state_dir + "/" + spec.name + ".server" + std::to_string(i) +
-            ".log",
+        options.log_dir + "/" + options.workload + ".server" +
+            std::to_string(i) + ".log",
         120.0);
     if (!st.ok()) return out->Fail("server launch: " + st.ToString());
     setup_s.push_back(server.ready_s());
-    const bool last = i + 1 == launches;
-    if (launches - i <= static_cast<int>(spec.nominal_sessions)) {
-      sessions.emplace_back();
-      const Status run =
-          RunSession(options, spec, replica, verify_idx, full_replica,
-                     &server, last, nominal_s,
-                     options.seed + static_cast<uint64_t>(i), &sessions.back());
-      if (!run.ok()) return out->Fail(run.ToString());
-    }
+    const Status run = RunSession(options, replica, verify_idx, &server,
+                                  i + 1 == kLaunches, nominal_s,
+                                  options.seed + i, &quiet_wait_s,
+                                  &sessions[i]);
+    if (!run.ok()) return out->Fail(run.ToString());
     if (!server.Stop()) {
       return out->Fail("server did not exit cleanly on SIGTERM");
     }
@@ -1388,8 +1338,10 @@ void RunServeWorkload(const Options& options, Outcome* out) {
 
   std::cout << "setup: serve-tcp ready in "
             << FormatSummary(Summarize(setup_s), "s") << "\n"
-            << "request (nominal " << spec.nominal_rate << " frames/s over "
-            << spec.conns << " conns, " << spec.steps_per_advance
+            << "quiet probes: " << quiet_wait_s
+            << " s spent on probes that missed the limit\n"
+            << "request (nominal " << kNominalRate << " frames/s over "
+            << kConns << " conns, " << kStepsPerAdvance
             << "-step Advance, " << sessions.size() << " launch(es)): "
             << FormatSummary(lat, "ms") << "\n"
             << "request windows: median p50 " << Median(window_p50)
@@ -1399,13 +1351,29 @@ void RunServeWorkload(const Options& options, Outcome* out) {
             << ")\n"
             << "late_ms (load generator lateness): p50 " << late.p50
             << " ms, max " << late.max << " ms (n=" << late.n << ")\n";
+  // The lowest failing rung above the sustained rate ended the search.
+  const SessionResult::Rung* ceiling = nullptr;
   for (const SessionResult::Rung& r : last.rungs) {
     std::cout << "ladder rung " << Fmt(r.rate, 6)
-              << " frames/s: median window p90 "
+              << (r.retry ? " frames/s (run again): median window p90 "
+                          : " frames/s: median window p90 ")
               << (r.p90 >= 0 ? Fmt(r.p90) + " ms" : "n/a") << " (limit "
-              << spec.p90_limit_ms << " ms), lateness "
+              << kP90LimitMs << " ms), lateness "
               << (r.late_grows ? "grows" : "steady") << ", failed "
-              << r.failed << " -> " << (r.ok ? "pass" : "FAIL") << "\n";
+              << r.failed << " -> "
+              << (r.miss.empty() ? "pass" : "FAIL: " + r.miss) << "\n";
+    if (!r.miss.empty() && r.rate > last.ladder.sustained &&
+        (ceiling == nullptr || r.rate < ceiling->rate)) {
+      ceiling = &r;
+    }
+  }
+  if (!last.rungs.empty()) {
+    std::cout << "ladder: sustained " << Fmt(last.ladder.sustained, 6)
+              << " frames/s; "
+              << (ceiling != nullptr
+                      ? "the next rung up failed on " + ceiling->miss
+                      : std::string("no rung failed within the budget"))
+              << "\n";
   }
   if (!ingest.publish_lag_s.empty()) {
     std::cout << "publish_lag_s: "
@@ -1418,13 +1386,9 @@ void RunServeWorkload(const Options& options, Outcome* out) {
                "ingest records offered)\n";
 
   if (!options.trace) {
-    if (last.ladder.sustained <= 0.0) {
-      return out->Fail("the lowest ladder rung missed the latency limit");
-    }
     out->metrics["setup_s"] = Median(setup_s);
     out->metrics["request_p50_ms"] = Median(window_p50);
     out->metrics["request_p90_ms"] = Median(window_p90);
-    out->metrics["throughput_per_s"] = last.ladder.sustained;
     out->metrics["selection_l1"] = l1_mean;
     out->metrics["peak_rss_mb"] = last.peak_rss_mb;
     return;
@@ -1476,6 +1440,7 @@ void RunServeWorkload(const Options& options, Outcome* out) {
   m["trainer.retrain_s"] = Median(retrain_s);
   m["trainer.retrains"] = static_cast<double>(retrain_s.size());
   m["publish_lag_s"] = Median(ingest.publish_lag_s);
+  m["throughput_per_s"] = last.ladder.sustained;
   m["request_p99_ms"] = Median(window_p99);
   m["failed_frac"] = static_cast<double>(out->failed) /
                      static_cast<double>(std::max<uint64_t>(out->attempted, 1));

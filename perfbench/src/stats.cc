@@ -84,11 +84,14 @@ double RateLadder::Rate(size_t k) const {
 
 LadderResult SearchLadder(const RateLadder& ladder,
                           const std::function<bool(double)>& passes,
-                          size_t budget) {
+                          size_t budget, size_t retries) {
   LadderResult result;
   const size_t stride = std::max<size_t>(ladder.stride, 1);
   auto run = [&](size_t k) {
     result.tried.push_back(k);
+    if (passes(ladder.Rate(k))) return true;
+    if (result.retried >= retries) return false;
+    ++result.retried;
     return passes(ladder.Rate(k));
   };
   // Coarse ascent: last passing rung and first failing rung.
@@ -185,7 +188,7 @@ void TestLadder() {
           ++calls;
           return rate <= capacity;
         },
-        /*budget=*/100);
+        /*budget=*/100, /*retries=*/2);
     double expect = 0.0;
     for (size_t k = 0; k < ladder.rungs; ++k) {
       if (ladder.Rate(k) <= capacity) expect = ladder.Rate(k);
@@ -193,15 +196,37 @@ void TestLadder() {
     Expect(Near(r.sustained, expect),
            "ladder finds the highest rung within capacity " +
                std::to_string(capacity));
-    Expect(calls == r.tried.size(), "every rung tried is recorded");
+    Expect(calls == r.tried.size() + r.retried,
+           "every rung tried is recorded, and every retry counted");
+    Expect(r.retried <= 2, "retries stay within their cap");
     Expect(calls <= ladder.rungs / ladder.stride + 3,
            "coarse ascent plus bisection stays short");
   }
   // A budget stops the search early and reports the best rung seen.
-  const auto capped =
-      SearchLadder(ladder, [](double) { return true; }, /*budget=*/2);
+  const auto capped = SearchLadder(
+      ladder, [](double) { return true; }, /*budget=*/2, /*retries=*/0);
   Expect(capped.tried.size() == 2 && Near(capped.sustained, ladder.Rate(3)),
          "budget caps the rungs run");
+  // A rung that fails once (a stall) and passes when run again does not
+  // end the ascent; without retries it does.
+  for (size_t retries : {0, 1}) {
+    bool stalled = false;
+    const auto r = SearchLadder(
+        ladder,
+        [&](double rate) {
+          if (Near(rate, ladder.Rate(3)) && !stalled) {
+            stalled = true;
+            return false;
+          }
+          return rate <= 5000.0;
+        },
+        /*budget=*/100, retries);
+    const double top = ladder.Rate(16);  // highest rung <= 5000
+    Expect(retries == 0 ? Near(r.sustained, ladder.Rate(2))
+                        : Near(r.sustained, top),
+           "a failure confirmed only by a retry ends the ascent (retries " +
+               std::to_string(retries) + ")");
+  }
 }
 
 }  // namespace

@@ -70,15 +70,19 @@ struct LadderResult {
   double sustained = 0.0;
   /// Rungs evaluated, in evaluation order.
   std::vector<size_t> tried;
+  /// Failed rungs run a second time.
+  size_t retried = 0;
 };
 
 /// Ascend the ladder in coarse strides until a rung fails (or the top is
 /// reached), then bisect the rungs between the last pass and the failure.
-/// Assumes pass/fail is monotone in the rate; `passes` is called at most
-/// once per rung. `budget` caps the number of rungs run.
+/// Assumes pass/fail is monotone in the rate, which a stall can break for
+/// one run of a rung: so a failed rung is run once more, for up to
+/// `retries` rungs per search, and fails only when it fails twice. `budget`
+/// caps the number of rungs run (retries not counted).
 LadderResult SearchLadder(const RateLadder& ladder,
                           const std::function<bool(double)>& passes,
-                          size_t budget);
+                          size_t budget, size_t retries);
 
 /// Run every self-test of this file on synthetic samples; returns the
 /// number of failed checks (each printed to stderr).
