@@ -4,15 +4,12 @@
 // Zipf sampling, histogram construction, and the serving layer (binary
 // snapshots vs. the CSV/text persistence path, zero-copy mmap model load
 // vs. the read+decode path, concurrent MonitorService replay, sharded
-// tick routing, ingest push throughput and TrainerLoop retrain+publish
+// Advance routing, ingest push throughput and TrainerLoop retrain+publish
 // latency) — the building blocks whose cost determines the (low)
 // overhead the paper requires of progress estimation.
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <numeric>
 
@@ -464,11 +461,9 @@ struct ServingFixture {
     stack = std::make_shared<const SelectorStack>(
         SelectorStack::Train(records, PoolOriginalThree(), params));
     stack_snapshot = EncodeSelectorStack(*stack);
-    // Per-process name: concurrent or cross-user runs must not collide
-    // on a shared temp file (writer-vs-mmap races, stale ownership).
-    stack_path = std::filesystem::temp_directory_path().string() +
-                 "/rpe_bench_micro_stack." + std::to_string(::getpid()) +
-                 ".rpsn";
+    // Per-process name: concurrent runs must not collide on a shared
+    // temp file (writer-vs-mmap races, stale ownership).
+    stack_path = rpe::testing::TempPath("bench_micro_stack.rpsn");
     RPE_CHECK_OK(SaveSelectorStack(*stack, stack_path));
     for (const EstimatorSelector* sel :
          {&stack->static_selector, &stack->dynamic_selector}) {
@@ -608,11 +603,11 @@ void BM_SnapshotMmapLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotMmapLoad);
 
-// Sharded session routing: 256 open sessions driven to completion with
-// budgeted ticks across 1/4/16 shards. Session setup (open/decide) is
-// excluded; items = observations scored per full drain, so the rate is
-// the tick-path serving throughput at each shard count.
-void BM_ShardedTick(benchmark::State& state) {
+// Sharded session routing: 256 open sessions driven to completion
+// through ShardedMonitorService::Advance — the call TcpServer's Advance
+// batch makes per step — across 1/4/16 shards. Session setup
+// (open/decide) is excluded; items = observations scored per full drain.
+void BM_ShardedAdvance(benchmark::State& state) {
   auto& fx = Serving();
   const size_t num_shards = static_cast<size_t>(state.range(0));
   constexpr size_t kSessions = 256;
@@ -621,28 +616,36 @@ void BM_ShardedTick(benchmark::State& state) {
     observations += static_cast<int64_t>(
         fx.session_runs[s % fx.session_runs.size()]->observations.size());
   }
+  std::vector<std::pair<ShardedMonitorService::SessionId, size_t>> sessions;
   for (auto _ : state) {
     state.PauseTiming();
     ShardedMonitorService::Options options;
     options.num_shards = num_shards;
     auto service =
         std::make_unique<ShardedMonitorService>(fx.stack, options);
+    sessions.clear();
     for (size_t s = 0; s < kSessions; ++s) {
-      RPE_CHECK(
-          service->OpenSession(fx.session_runs[s % fx.session_runs.size()])
-              .ok());
+      const QueryRunResult* run =
+          fx.session_runs[s % fx.session_runs.size()];
+      auto id = service->OpenSession(run);
+      RPE_CHECK(id.ok());
+      sessions.emplace_back(*id, run->observations.size());
     }
     state.ResumeTiming();
-    while (service->Tick(/*max_steps=*/64) > 0) {
+    for (const auto& [id, steps] : sessions) {
+      for (size_t i = 0; i < steps; ++i) {
+        const auto progress = service->Advance(id);
+        RPE_CHECK(progress.ok());
+        benchmark::DoNotOptimize(*progress);
+      }
     }
-    benchmark::DoNotOptimize(service->num_open_sessions());
     state.PauseTiming();
     service.reset();
     state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * observations);
 }
-BENCHMARK(BM_ShardedTick)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_ShardedAdvance)->Arg(1)->Arg(4)->Arg(16);
 
 // Concurrent monitor serving: 64 sessions replayed through the service
 // (sharded on the global pool); items = observations scored.

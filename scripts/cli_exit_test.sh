@@ -1,21 +1,28 @@
 #!/usr/bin/env bash
 # CLI exit-code contract tests (wired into ctest as `cli_exit_codes`):
 #
-#   1. snapshot-load / serve-replay --mmap / serve-online --mmap on a
+#   1. snapshot-load / serve-replay --mmap / serve-tcp --mmap on a
 #      corrupt, truncated, or missing .rpsn must exit nonzero with the
 #      Status on stderr — and must fail fast, before any workload runs.
-#   2. serve-online with the snapshot-write failpoint armed at 100% via
-#      RPE_FAILPOINTS must still exit zero, keep serving on the published
-#      generations, and report exact nonzero failure/retry counts.
+#   2. serve-tcp with the snapshot-write failpoint armed at 100% via
+#      RPE_FAILPOINTS, driven by `rpe_loadgen --ingest-until-swap`, must
+#      keep publishing retrains, exit zero on SIGTERM, report exact
+#      nonzero failure/retry counts, and leave no snapshot file behind.
 #   3. A malformed RPE_FAILPOINTS spec is diagnosed, ignored, and must
 #      not turn into silent fault injection.
 #
-# Usage: cli_exit_test.sh <path-to-rpe_cli>
+# Usage: cli_exit_test.sh <path-to-rpe_cli> <path-to-rpe_loadgen>
 set -u
 
-CLI="${1:?usage: cli_exit_test.sh <path-to-rpe_cli>}"
+CLI="${1:?usage: cli_exit_test.sh <rpe_cli> <rpe_loadgen>}"
+LOADGEN="${2:?usage: cli_exit_test.sh <rpe_cli> <rpe_loadgen>}"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/rpe_cli_exit.XXXXXX")"
-trap 'rm -rf "$WORK"' EXIT
+SRV_PID=""
+cleanup() {
+  [ -n "$SRV_PID" ] && kill -9 "$SRV_PID" 2>/dev/null
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
 
 fails=0
 note() { printf '%s\n' "$*"; }
@@ -51,7 +58,7 @@ expect_err "IOError" "$CLI" snapshot-load --in "$MISSING"
 # return within the preload, so a tiny workload config keeps them honest).
 # serve-tcp is included: a corrupt model must fail before the socket ever
 # binds, so nothing is listening when the Status lands on stderr.
-for cmd in serve-replay serve-online serve-tcp; do
+for cmd in serve-replay serve-tcp; do
   expect_err "InvalidArgument" \
     "$CLI" "$cmd" --kind tpch --queries 2 --scale 1 --model "$CORRUPT" --mmap
   expect_err "IOError" \
@@ -81,20 +88,46 @@ expect_err "invalid --shards" \
   >/dev/null 2>&1
 [ $? -eq 2 ] || fail "serve-tcp bad --port did not exit 2"
 
-# --- serve-online under a 100% snapshot-write fault -----------------------
-OUT="$WORK/serve_online.txt"
-ERR="$WORK/serve_online_err.txt"
-if ! RPE_FAILPOINTS="snapshot.write=always" \
-    "$CLI" serve-online --kind tpch --queries 8 --scale 2 --sessions 8 \
-    --retrain-every 8 --ingest-per-tick 8 --trees 5 \
-    --snapshot-out "$WORK/snap.rpsn" >"$OUT" 2>"$ERR"; then
-  fail "serve-online exited nonzero under snapshot.write=always:
-$(cat "$ERR")"
+# --- serve-tcp under a 100% snapshot-write fault --------------------------
+OUT="$WORK/serve_tcp.txt"
+ERR="$WORK/serve_tcp_err.txt"
+RPE_FAILPOINTS="snapshot.write=always" \
+  "$CLI" serve-tcp --kind tpch --queries 8 --scale 2 --retrain-every 8 \
+  --trees 5 --snapshot-out "$WORK/snap.rpsn" >"$OUT" 2>"$ERR" &
+SRV_PID=$!
+PORT=""
+for _ in $(seq 1 600); do
+  kill -0 "$SRV_PID" 2>/dev/null || break
+  PORT="$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$OUT" \
+          | head -n 1)"
+  [ -n "$PORT" ] && break
+  sleep 0.5
+done
+if [ -z "$PORT" ]; then
+  fail "serve-tcp never listened under snapshot.write=always: $(cat "$ERR")"
 else
+  # Records stream in until a retrain is published despite every snapshot
+  # write failing: serving degrades, it does not go down.
+  "$LOADGEN" --port "$PORT" --sessions 0 --connections 1 \
+    --ingest-rate 400 --ingest-batch 8 --ingest-until-swap --check \
+    >"$WORK/loadgen.json" 2>"$WORK/loadgen_err.txt" \
+    || fail "loadgen failed under snapshot.write=always:
+$(cat "$WORK/loadgen_err.txt")"
+  case "$(tail -n 1 "$WORK/loadgen.json")" in
+    *'"swap_observed":true'*) ;;
+    *) fail "no model swap observed under snapshot.write=always" ;;
+  esac
+  kill -TERM "$SRV_PID"
+  SRV_RC=0
+  wait "$SRV_PID" || SRV_RC=$?
+  SRV_PID=""
+  [ "$SRV_RC" -eq 0 ] \
+    || fail "serve-tcp exited $SRV_RC after SIGTERM under snapshot.write=always:
+$(cat "$ERR")"
   grep -q "failpoints armed: snapshot.write" "$ERR" \
     || fail "armed-failpoint banner missing from stderr"
   # The summary must carry exact, nonzero failure and retry counts, and
-  # retrains must still have been published (serving degraded, not down).
+  # retrains must still have been published.
   awk -F'|' '/snapshot write failures/ {gsub(/ /,"",$3); print $3}' "$OUT" \
     | grep -qE '^[1-9][0-9]*$' \
     || fail "snapshot write failures not reported nonzero: $(cat "$OUT")"
@@ -104,7 +137,8 @@ else
   awk -F'|' '/retrains published/ {gsub(/ /,"",$3); print $3}' "$OUT" \
     | grep -qE '^[1-9][0-9]*$' \
     || fail "no retrain published under snapshot-write fault"
-  [ -e "$WORK/snap.rpsn" ] && fail "failed snapshot write left a file"
+  leftovers="$(find "$WORK" -maxdepth 1 -name 'snap.rpsn*')"
+  [ -z "$leftovers" ] || fail "failed snapshot writes left files: $leftovers"
 fi
 
 # --- malformed RPE_FAILPOINTS is diagnosed and ignored --------------------

@@ -17,9 +17,9 @@
 namespace rpe {
 
 /// Append the service + ingest/trainer samples derived from one stats
-/// snapshot (the row set shared by serve-replay / serve-tcp /
-/// serve-online). Exposed separately from the collector so callers with
-/// an already-taken snapshot can reuse it.
+/// snapshot (the row set shared by serve-replay / serve-tcp). Exposed
+/// separately from the collector so callers with an already-taken
+/// snapshot can reuse it.
 void AppendServiceSamples(const ShardedMonitorService::Stats& stats,
                           std::vector<obs::Sample>* out);
 

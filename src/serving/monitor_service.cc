@@ -1,6 +1,5 @@
 #include "serving/monitor_service.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
@@ -59,12 +58,6 @@ std::shared_ptr<const SelectorStack> MonitorService::models() const {
 uint64_t MonitorService::model_generation() const {
   std::lock_guard<std::mutex> lock(models_mu_);
   return model_generation_;
-}
-
-void MonitorService::SetIngestStatsProvider(
-    std::function<IngestStats()> provider) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  ingest_provider_ = std::move(provider);
 }
 
 Result<MonitorService::SessionId> MonitorService::OpenSession(
@@ -232,94 +225,6 @@ size_t MonitorService::num_open_sessions() const {
   return sessions_.size();
 }
 
-size_t MonitorService::Tick(size_t max_steps) {
-  // One serialized scheduling pass: snapshot the active set in session-id
-  // order (deterministic regardless of hash-map iteration order), pick the
-  // sessions to advance, then shard the per-observation scoring. Each
-  // stepped session writes only its own state, so the tick is
-  // deterministic at any thread count.
-  std::lock_guard<std::mutex> tick_lock(tick_mu_);
-  std::vector<std::pair<SessionId, std::shared_ptr<Session>>> active;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    active.reserve(sessions_.size());
-    for (auto& [id, s] : sessions_) active.emplace_back(id, s);
-  }
-  std::sort(active.begin(), active.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // `selected` is the set the parallel pass steps; skipped eligible
-  // sessions are unfinished by definition and enter the remaining count
-  // directly, so no post-pass lock round is needed.
-  std::vector<size_t> selected;  // indices into `active`
-  size_t skipped_unfinished = 0;
-  if (max_steps == 0) {
-    // Unbudgeted: step every session (finished ones no-op inside the
-    // parallel pass) — no scheduling pass, exactly the pre-budget path.
-    selected.resize(active.size());
-    for (size_t i = 0; i < active.size(); ++i) selected[i] = i;
-  } else {
-    std::vector<size_t> eligible;  // indices into `active`, id order
-    eligible.reserve(active.size());
-    for (size_t i = 0; i < active.size(); ++i) {
-      Session* s = active[i].second.get();
-      std::lock_guard<std::mutex> lock(s->mu);
-      if (s->next_obs < s->run->observations.size()) eligible.push_back(i);
-    }
-    if (max_steps >= eligible.size()) {
-      selected = eligible;
-    } else {
-      // Deficit round-robin: every unfinished session earns one credit,
-      // the max_steps highest-credit sessions (ties by session id)
-      // advance and reset. Skipped sessions keep accumulating, so the
-      // serviced set rotates and no session waits more than
-      // ceil(eligible / max_steps) ticks.
-      for (size_t i : eligible) ++active[i].second->deficit;
-      selected = eligible;
-      std::stable_sort(selected.begin(), selected.end(),
-                       [&](size_t a, size_t b) {
-                         return active[a].second->deficit >
-                                active[b].second->deficit;
-                       });
-      selected.resize(max_steps);
-      skipped_unfinished = eligible.size() - selected.size();
-    }
-  }
-
-  ThreadPool* pool =
-      options_.pool != nullptr ? options_.pool : &ThreadPool::Global();
-  std::vector<uint8_t> stepped(selected.size(), 0);
-  std::vector<uint8_t> unfinished(selected.size(), 0);
-  std::vector<double> step_sec(selected.size(), 0.0);
-  pool->ParallelFor(selected.size(), [&](size_t si) {
-    Session* s = active[selected[si]].second.get();
-    std::lock_guard<std::mutex> lock(s->mu);
-    // Re-check under the session lock: a concurrent Advance may have
-    // finished the session since the scheduling pass.
-    if (s->next_obs < s->run->observations.size()) {
-      step_sec[si] = StepLocked(s);
-      stepped[si] = 1;
-    }
-    unfinished[si] = s->next_obs < s->run->observations.size() ? 1 : 0;
-    // Serviced sessions clear their fairness credit (each worker writes
-    // only its own session; tick_mu_ excludes competing schedulers).
-    s->deficit = 0;
-  });
-
-  size_t scored = 0;
-  size_t remaining = skipped_unfinished;
-  double elapsed = 0.0;
-  for (size_t si = 0; si < selected.size(); ++si) {
-    scored += stepped[si];
-    remaining += unfinished[si];
-    elapsed += step_sec[si];
-  }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  observations_scored_ += scored;
-  scoring_time_sec_ += elapsed;
-  return remaining;
-}
-
 std::vector<std::vector<double>> MonitorService::ReplayAll(
     std::span<const QueryRunResult* const> runs) {
   const std::shared_ptr<const SelectorStack> stack = models();
@@ -367,16 +272,7 @@ std::vector<std::vector<double>> MonitorService::ReplayAll(
 
 MonitorService::Stats MonitorService::GetStats(
     std::vector<double>* latency_samples) const {
-  // The ingest provider is fetched and called outside the service locks:
-  // it reaches into the TrainerLoop, which itself calls back into the
-  // service (SwapModels), so holding stats_mu_ across it could deadlock.
-  std::function<IngestStats()> provider;
-  {
-    std::lock_guard<std::mutex> lock(ingest_mu_);
-    provider = ingest_provider_;
-  }
   Stats stats;
-  if (provider) stats.ingest = provider();
   stats.model_generation = model_generation();
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats.sessions_opened = sessions_opened_;
@@ -389,7 +285,7 @@ MonitorService::Stats MonitorService::GetStats(
   if (latency_samples != nullptr) *latency_samples = replay_latency_ms_;
   if (scoring_time_sec_ > 0.0) {
     // Throughput over cumulative scoring time (accrued live at every
-    // decision and observation tick, so open or early-closed sessions
+    // decision and observation step, so open or early-closed sessions
     // are counted): per-core rates comparable across thread counts.
     stats.decisions_per_sec =
         static_cast<double>(decisions_) / scoring_time_sec_;

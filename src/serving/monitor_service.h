@@ -18,13 +18,11 @@
 //
 // The service is also the publish point of the online-learning loop
 // (serving/ingest.h + serving/trainer_loop.h): SwapModels carries a
-// monotonic model generation, and GetStats can surface the trainer's
-// IngestStats next to the replay counters so one call describes the whole
-// observe → record → retrain → publish cycle.
+// monotonic model generation that GetStats reports next to the replay
+// counters.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -82,7 +80,7 @@ class MonitorService : public ModelPublisher {
 
   /// Open a monitoring session over a recorded run. The per-pipeline
   /// estimator decisions (initial + revision) are made here, against the
-  /// current snapshot — per-observation Advance/Tick work replays against
+  /// current snapshot — per-observation Advance work replays against
   /// these precomputed decisions and never scores a selector. `run` must
   /// outlive the session.
   Result<SessionId> OpenSession(const QueryRunResult* run);
@@ -96,7 +94,7 @@ class MonitorService : public ModelPublisher {
   Result<std::vector<SessionId>> OpenSessions(
       std::span<const QueryRunResult* const> runs);
 
-  /// Advance the session by one observation tick; returns the query
+  /// Advance the session by one observation; returns the query
   /// progress reported at the new observation. OutOfRange once the run's
   /// observation stream is exhausted.
   Result<double> Advance(SessionId id);
@@ -111,18 +109,6 @@ class MonitorService : public ModelPublisher {
   Status CloseSession(SessionId id);
 
   size_t num_open_sessions() const;
-
-  /// Advance unfinished sessions by one observation each in a single
-  /// sharded pass. `max_steps` bounds the per-call work when the pool is
-  /// saturated: 0 (the default) advances every unfinished session; a
-  /// positive budget advances at most that many, chosen by per-session
-  /// deficit counters (deficit round-robin). Every unfinished session
-  /// earns one credit per budgeted tick and the highest-credit sessions
-  /// go first (ties by session id, credits reset on service), so any
-  /// session waits at most ceil(active / max_steps) ticks — long-running
-  /// replays cannot starve short ones. Returns the number of sessions
-  /// still unfinished afterwards.
-  size_t Tick(size_t max_steps = 0);
 
   /// Replay whole runs concurrently, one session per entry; out[i] is
   /// bit-identical to ProgressMonitor::ReplayQueryProgress(*runs[i]) run
@@ -149,8 +135,9 @@ class MonitorService : public ModelPublisher {
     double scoring_time_sec = 0.0;
     /// Generation of the published model snapshot (see SwapModels).
     uint64_t model_generation = 0;
-    /// Online-learning counters (zeros unless a provider is registered
-    /// via SetIngestStatsProvider).
+    /// Online-learning counters. A shard never fills them; the
+    /// ShardedMonitorService aggregate takes them from its registered
+    /// provider (ShardedMonitorService::SetIngestStatsProvider).
     IngestStats ingest;
   };
   /// When `latency_samples` is non-null it receives a copy of the bounded
@@ -161,12 +148,6 @@ class MonitorService : public ModelPublisher {
   /// samples instead of averaging per-shard percentiles.
   Stats GetStats(std::vector<double>* latency_samples = nullptr) const;
 
-  /// Register the source of Stats::ingest (typically
-  /// TrainerLoop::GetStats). The provider is called outside the service's
-  /// locks on every GetStats; pass nullptr to unregister. It must stay
-  /// callable until unregistered or the service is destroyed.
-  void SetIngestStatsProvider(std::function<IngestStats()> provider);
-
  private:
   struct Session {
     std::shared_ptr<const SelectorStack> pinned;  ///< keeps monitor valid
@@ -176,18 +157,15 @@ class MonitorService : public ModelPublisher {
     size_t next_obs = 0;
     double last_progress = 0.0;
     double elapsed_sec = 0.0;  ///< cumulative scoring time
-    /// Fairness credit for budgeted Tick (guarded by the service's
-    /// tick_mu_: only the serialized scheduling pass touches it).
-    uint64_t deficit = 0;
-    /// Serializes Advance/Tick on the same session; distinct sessions
-    /// never contend.
+    /// Serializes Advance on the same session; distinct sessions never
+    /// contend.
     mutable std::mutex mu;
     Session(std::shared_ptr<const SelectorStack> stack,
             const QueryRunResult* r, double marker_pct);
   };
 
   Result<std::shared_ptr<Session>> Find(SessionId id) const;
-  /// One observation tick of one session (caller holds s->mu); returns
+  /// One observation step of one session (caller holds s->mu); returns
   /// the scoring time spent.
   static double StepLocked(Session* s);
   void RecordCompletion(const Session& s);
@@ -204,20 +182,13 @@ class MonitorService : public ModelPublisher {
   SessionId next_id_ = 1;
   std::unordered_map<SessionId, std::shared_ptr<Session>> sessions_;
 
-  /// Serializes Tick passes (the deficit scheduling state is
-  /// single-ticker); Advance/ReplayAll do not take it.
-  std::mutex tick_mu_;
-
-  mutable std::mutex ingest_mu_;
-  std::function<IngestStats()> ingest_provider_;
-
   mutable std::mutex stats_mu_;
   size_t sessions_opened_ = 0;
   size_t sessions_completed_ = 0;
   uint64_t decisions_ = 0;
   uint64_t observations_scored_ = 0;
-  /// Cumulative scoring time, accrued live (session open, every Advance/
-  /// Tick step, every ReplayAll session) — the rate denominator.
+  /// Cumulative scoring time, accrued live (session open, every Advance
+  /// step, every ReplayAll session) — the rate denominator.
   double scoring_time_sec_ = 0.0;
   /// Bounded ring of recent per-session replay latencies (see Stats).
   static constexpr size_t kLatencyWindow = 4096;

@@ -139,7 +139,6 @@ struct TcpServer::AdvanceWork {
   uint32_t taken = 0;
   double progress = 0.0;
   bool done = false;
-  bool retired = false;
   Status error;  ///< non-OK: answered as an error frame
 };
 
@@ -794,30 +793,21 @@ void TcpServer::FinishRequest(const char* name, uint64_t trace_id,
 }
 
 void TcpServer::RunAdvanceBatch(IoThread* io) {
-  // Deficit round-robin over the batch: one observation step per pending
-  // request per round, so budgets interleave fairly (the front-end mirror
-  // of MonitorService::Tick's discipline). Bounded by the per-request
-  // kMaxAdvanceSteps cap the decoder enforces.
+  // One request at a time, each walked to its budget (the decoder caps it
+  // at kMaxAdvanceSteps). Order within the batch is not observable on the
+  // wire: every response is encoded below, after the whole batch, and
+  // flushed only after the dispatch loop.
   std::vector<AdvanceWork>& batch = io->batch;
-  size_t active = batch.size();
-  while (active > 0) {
-    for (AdvanceWork& w : batch) {
-      if (w.retired) continue;
-      // Each step's "advance.step" span (opened inside the service)
-      // parents to the request whose budget it came from, even though the
-      // batch interleaves requests deficit-fairly.
-      obs::TraceContext::Scope scope(w.trace_id);
+  for (AdvanceWork& w : batch) {
+    // The "advance.step" spans opened inside the service parent to this
+    // request.
+    obs::TraceContext::Scope scope(w.trace_id);
+    while (w.taken < w.budget) {
       const auto step = service_->Advance(w.session);
       if (step.ok()) {
         w.progress = *step;
         ++w.taken;
         c_.advance_steps->Inc();
-        if (w.taken >= w.budget) {
-          const auto done = service_->Done(w.session);
-          w.done = done.ok() && *done;
-          w.retired = true;
-          --active;
-        }
         continue;
       }
       if (step.status().code() == StatusCode::kOutOfRange) {
@@ -831,8 +821,11 @@ void TcpServer::RunAdvanceBatch(IoThread* io) {
       } else {
         w.error = step.status();
       }
-      w.retired = true;
-      --active;
+      break;
+    }
+    if (w.taken == w.budget) {
+      const auto done = service_->Done(w.session);
+      w.done = done.ok() && *done;
     }
   }
   for (AdvanceWork& w : batch) {
@@ -987,11 +980,11 @@ void TcpServer::IoLoop(IoThread* io) {
       if ((ev & EPOLLIN) != 0 && !ReadInto(io, conn)) continue;
     }
     // Batched dispatch: every readable connection has decoded its frames;
-    // answer cheap requests inline and interleave the Advance work
-    // deficit-fairly, repeating until all frames decoded this iteration
-    // are answered (each pass consumes at least one frame). Flushing can
-    // lift a backpressure pause, which re-enables dispatch for frames the
-    // pause was holding — hence the outer loop.
+    // answer cheap requests inline and run the deferred Advance batch,
+    // repeating until all frames decoded this iteration are answered
+    // (each pass consumes at least one frame). Flushing can lift a
+    // backpressure pause, which re-enables dispatch for frames the pause
+    // was holding — hence the outer loop.
     bool dispatchable = true;
     while (dispatchable) {
       while (true) {

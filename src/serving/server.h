@@ -12,17 +12,21 @@
 // num_shards (the default) the event loops align 1:1 with shards and a
 // request never crosses a shard lock it didn't need — the only
 // contention on a session's shard comes from the one IO thread that owns
-// the session, plus the service-level Tick/publish machinery.
+// the session, plus model publishes and stats reads.
 //
-// Batched decode → deficit-fair advance: an IO thread drains every
-// readable connection first, decoding all complete frames, answering
-// cheap requests inline and deferring Advance work into a per-iteration
-// batch. The batch then runs as a deficit round-robin — one observation
-// step per pending request per round, exactly the service Tick's
-// fairness discipline — so a connection asking for 4096 steps cannot
-// starve one asking for 1. Per-connection FIFO response order is
-// preserved: a connection's later frames are not dispatched until its
-// deferred Advance has been answered.
+// Batched decode → advance: an IO thread drains every readable
+// connection first, decoding all complete frames, answering cheap
+// requests inline and deferring Advance work into a per-iteration batch.
+// The batch then runs one request at a time, each walked to its step
+// budget. No Advance response is encoded until the whole batch is done
+// and none is flushed until the dispatch loop ends, so the order within
+// a batch changes neither the bytes on the wire nor when they leave. It
+// shows only in the order of the "advance.step" trace spans, and in how
+// steps split when two connections on one IO thread advance the *same*
+// session in one batch (the earlier request takes its steps first; each
+// response is still a valid walk of that session). Per-connection FIFO
+// response order is preserved: a connection's later frames are not
+// dispatched until its deferred Advance has been answered.
 //
 // Backpressure: a connection's pending responses accumulate in a bounded
 // write buffer. When it exceeds Options::max_write_buffer the server
@@ -185,7 +189,7 @@ class TcpServer {
   /// Dispatch queued frames in FIFO order until an Advance defers or the
   /// write buffer fills. Appends deferred Advance work to io->batch.
   void DispatchInbox(IoThread* io, Connection* conn);
-  /// Run the deferred Advance batch deficit-fairly, answer each request.
+  /// Run the deferred Advance batch request by request, answer each one.
   void RunAdvanceBatch(IoThread* io);
   /// Flush the write buffer; arms EPOLLOUT on partial writes, resumes
   /// paused reads once drained. False = the connection died.

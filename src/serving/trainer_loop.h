@@ -131,7 +131,8 @@ class TrainerLoop {
   uint64_t last_swap_generation() const;
 
   /// Queue counters merged with the loop's retraining counters — the
-  /// Stats::ingest payload (wire via MonitorService::SetIngestStatsProvider).
+  /// Stats::ingest payload (wire via
+  /// ShardedMonitorService::SetIngestStatsProvider).
   IngestStats GetStats() const;
 
  private:

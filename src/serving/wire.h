@@ -25,9 +25,9 @@
 //
 // Requests and responses share the type byte; direction is implied by
 // who sent the frame. Every request gets exactly one response, in
-// request order per connection (the server's batch scheduler preserves
-// per-connection FIFO even while it interleaves Advance work across
-// connections — see serving/server.cc).
+// request order per connection (the server's Advance batch preserves
+// per-connection FIFO while it batches Advance work across connections —
+// see serving/server.h).
 //
 // Message payloads (sizes are exact; a typed decoder rejects any other
 // payload length with Status, never reads out of bounds):

@@ -25,6 +25,7 @@ namespace rpe {
 namespace {
 
 using ::rpe::testing::RandomRecords;
+using ::rpe::testing::TempPath;
 
 /// Arm a failpoint for the scope of one test; the disarm is exception-
 /// and assertion-failure-safe.
@@ -39,10 +40,6 @@ class ScopedFailPoint {
  private:
   const std::string name_;
 };
-
-std::string TempPath(const std::string& name) {
-  return std::filesystem::temp_directory_path().string() + "/" + name;
-}
 
 // ---------------------------------------------------------------------------
 // Registry: trigger modes
@@ -209,7 +206,7 @@ TEST(TrainerLoopFaultTest, InjectedPushFailureCountsAsDrop) {
 }
 
 TEST(TrainerLoopFaultTest, SnapshotWriteRetryRecoversAndCounts) {
-  const std::string path = TempPath("rpe_fp_snapshot_retry.rpsn");
+  const std::string path = TempPath("fp_snapshot_retry.rpsn");
   std::remove(path.c_str());
   MonitorService service(FpTinyStack());
   RecordIngestQueue queue(256);
@@ -233,7 +230,7 @@ TEST(TrainerLoopFaultTest, SnapshotWriteRetryRecoversAndCounts) {
 }
 
 TEST(TrainerLoopFaultTest, SnapshotWriteExhaustionNeverBlocksPublish) {
-  const std::string path = TempPath("rpe_fp_snapshot_exhaust.rpsn");
+  const std::string path = TempPath("fp_snapshot_exhaust.rpsn");
   std::remove(path.c_str());
   MonitorService service(FpTinyStack());
   RecordIngestQueue queue(256);
@@ -392,7 +389,7 @@ class MmapFaultTest : public ::testing::Test {
     records_ = new std::vector<PipelineRecord>(RandomRecords(60, 31));
     stack_ = new SelectorStack(
         SelectorStack::Train(*records_, PoolOriginalThree(), FpTinyParams()));
-    path_ = new std::string(TempPath("rpe_fp_mmap.rpsn"));
+    path_ = new std::string(TempPath("fp_mmap.rpsn"));
     RPE_CHECK_OK(SaveSelectorStack(*stack_, *path_));
   }
   static void TearDownTestSuite() {

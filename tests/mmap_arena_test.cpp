@@ -7,7 +7,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 
 #include "common/crc32.h"
@@ -20,10 +19,7 @@ namespace rpe {
 namespace {
 
 using ::rpe::testing::RandomRecords;
-
-std::string TempPath(const std::string& name) {
-  return std::filesystem::temp_directory_path().string() + "/" + name;
-}
+using ::rpe::testing::TempPath;
 
 void WriteBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -64,7 +60,7 @@ class MmapArenaTest : public ::testing::Test {
     params.seed = 7;
     stack_ = new SelectorStack(
         SelectorStack::Train(*records_, PoolOriginalThree(), params));
-    path_ = new std::string(TempPath("rpe_mmap_arena_test.rpsn"));
+    path_ = new std::string(TempPath("mmap_arena_test.rpsn"));
     RPE_CHECK_OK(SaveSelectorStack(*stack_, *path_));
   }
   static void TearDownTestSuite() {
@@ -143,7 +139,7 @@ TEST_F(MmapArenaTest, ArenaOutlivesLoaderScope) {
 }
 
 TEST_F(MmapArenaTest, LegacyV1FileFallsBackToCopy) {
-  const std::string legacy_path = TempPath("rpe_mmap_arena_legacy.rpsn");
+  const std::string legacy_path = TempPath("mmap_arena_legacy.rpsn");
   WriteBytes(legacy_path,
              snapshot_internal::EncodeSelectorStackLegacyV1(*stack_));
   auto loaded = LoadSelectorStackMmap(legacy_path);
@@ -164,7 +160,7 @@ TEST_F(MmapArenaTest, MisalignedAuxSectionFallsBackToCopy) {
   ASSERT_GT(aux, 0u);
   bytes.insert(32 + aux, 4, '\0');
   ReframeHeader(&bytes, kSnapshotVersion, aux + 4);
-  const std::string path = TempPath("rpe_mmap_arena_misaligned.rpsn");
+  const std::string path = TempPath("mmap_arena_misaligned.rpsn");
   WriteBytes(path, bytes);
 
   auto loaded = LoadSelectorStackMmap(path);
@@ -176,7 +172,7 @@ TEST_F(MmapArenaTest, MisalignedAuxSectionFallsBackToCopy) {
 
 TEST_F(MmapArenaTest, TruncatedFilesAreRejected) {
   std::string bytes = EncodeSelectorStack(*stack_);
-  const std::string path = TempPath("rpe_mmap_arena_trunc.rpsn");
+  const std::string path = TempPath("mmap_arena_trunc.rpsn");
   for (size_t keep : {size_t{0}, size_t{16}, size_t{32}, bytes.size() / 2,
                       bytes.size() - 1}) {
     WriteBytes(path, bytes.substr(0, keep));
@@ -189,7 +185,7 @@ TEST_F(MmapArenaTest, TruncatedFilesAreRejected) {
 TEST_F(MmapArenaTest, CorruptedAuxPayloadIsRejected) {
   std::string bytes = EncodeSelectorStack(*stack_);
   bytes[bytes.size() - 5] ^= 0x5A;  // inside the aux section
-  const std::string path = TempPath("rpe_mmap_arena_crc.rpsn");
+  const std::string path = TempPath("mmap_arena_crc.rpsn");
   WriteBytes(path, bytes);
   auto loaded = LoadSelectorStackMmap(path);
   ASSERT_FALSE(loaded.ok());
@@ -201,7 +197,7 @@ TEST_F(MmapArenaTest, CorruptedAuxPayloadIsRejected) {
 TEST_F(MmapArenaTest, BogusAuxOffsetIsRejected) {
   std::string bytes = EncodeSelectorStack(*stack_);
   const uint32_t aux = ReadAuxOffset(bytes);
-  const std::string path = TempPath("rpe_mmap_arena_auxoff.rpsn");
+  const std::string path = TempPath("mmap_arena_auxoff.rpsn");
 
   // A flipped aux-offset byte without a matching CRC is corruption: the
   // v2 CRC covers the offset field, so this must read as a CRC mismatch.
@@ -234,8 +230,8 @@ TEST_F(MmapArenaTest, BogusAuxOffsetIsRejected) {
 }
 
 TEST_F(MmapArenaTest, MissingAndEmptyFilesAreErrors) {
-  EXPECT_FALSE(LoadSelectorStackMmap(TempPath("rpe_no_such_file.rpsn")).ok());
-  const std::string path = TempPath("rpe_mmap_arena_empty.rpsn");
+  EXPECT_FALSE(LoadSelectorStackMmap(TempPath("no_such_file.rpsn")).ok());
+  const std::string path = TempPath("mmap_arena_empty.rpsn");
   WriteBytes(path, "");
   EXPECT_FALSE(LoadSelectorStackMmap(path).ok());
   std::remove(path.c_str());

@@ -1,9 +1,10 @@
 // End-to-end tests of the online-learning loop over the wire: a loopback
 // TcpServer wired to a RecordIngestQueue + TrainerLoop, driven by real
 // sockets. What must hold:
-//   * ingest frames stream records into the trainer, a retrain publishes
-//     mid-connection (kStats shows the generation bump), and sessions
-//     pinned before the swap stay bit-identical to the old stack;
+//   * ingest frames stream records into the trainer, retrains publish
+//     mid-connection (kStats shows the generation bumps), and one session
+//     pinned on every shard before the swaps stays bit-identical to the
+//     old stack across two publishes;
 //   * saturation is answered with kStatusBusy — watermark sheds are
 //     whole-frame and exact, in-flight-budget sheds keep FIFO response
 //     order, and accepted + dropped + shed == offered always;
@@ -26,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -210,8 +212,12 @@ std::shared_ptr<const SelectorStack> ServerOnlineTest::stack_;
 std::vector<PipelineRecord>* ServerOnlineTest::records_ = nullptr;
 
 TEST_F(ServerOnlineTest, IngestOverTheWireRetrainsAndKeepsPinnedSessions) {
+  // One session pinned on every shard, each walked across two publishes.
+  // IO threads default to one per shard and connections are handed out
+  // round-robin, so connection k opens its session on shard k.
+  constexpr size_t kShards = 3;
   ShardedMonitorService::Options service_options;
-  service_options.num_shards = 2;
+  service_options.num_shards = kShards;
   ShardedMonitorService service(stack_, service_options);
   RecordIngestQueue queue(256);
   TrainerLoop trainer(&queue, &service, FastTrainerOptions());
@@ -222,81 +228,96 @@ TEST_F(ServerOnlineTest, IngestOverTheWireRetrainsAndKeepsPinnedSessions) {
   TcpServer server(&service, RunPtrs(), &queue, TcpServer::Options{});
   ASSERT_TRUE(server.Start().ok());
 
-  // Reference series with the *initial* stack — the session opened before
-  // the swap pins it and must stay bit-identical across the retrain.
+  // Reference series with the *initial* stack — the sessions opened
+  // before the swaps pin it and must stay bit-identical across them.
   ProgressMonitor sequential(&stack_->static_selector,
                              &stack_->dynamic_selector);
-  const std::vector<double> expected =
-      sequential.ReplayQueryProgress((*runs_)[0]);
-
-  TestClient client;
-  ASSERT_TRUE(client.Connect(server.port()));
-  auto opened_frame = client.Call(EncodeOpenRequest({0}));
-  ASSERT_TRUE(opened_frame.ok() && opened_frame->ok());
-  auto opened = DecodeOpenResponse(opened_frame->payload);
-  ASSERT_TRUE(opened.ok());
-
-  auto initial_frame = client.Call(EncodeStatsRequest());
-  ASSERT_TRUE(initial_frame.ok() && initial_frame->ok());
-  auto initial = DecodeStatsResponse(initial_frame->payload);
-  ASSERT_TRUE(initial.ok());
-  EXPECT_EQ(initial->retrains, 0u);
-
-  // Walk half the replay on the pinned session before any swap.
-  AdvanceRequest step;
-  step.session_id = opened->session_id;
-  step.max_steps = 1;
-  const size_t half = expected.size() / 2;
-  for (size_t obs = 0; obs < half; ++obs) {
-    auto frame = client.Call(EncodeAdvanceRequest(step));
-    ASSERT_TRUE(frame.ok() && frame->ok());
-    auto advanced = DecodeAdvanceResponse(frame->payload);
-    ASSERT_TRUE(advanced.ok());
-    ASSERT_EQ(
-        std::memcmp(&advanced->progress, &expected[obs], sizeof(double)), 0)
-        << "observation " << obs << " diverges before the swap";
+  TestClient clients[kShards];
+  AdvanceRequest steps[kShards];
+  std::vector<double> expected[kShards];
+  size_t walked[kShards] = {};
+  std::set<size_t> shards_hit;
+  for (size_t k = 0; k < kShards; ++k) {
+    const uint32_t run_index = static_cast<uint32_t>(k % runs_->size());
+    expected[k] = sequential.ReplayQueryProgress((*runs_)[run_index]);
+    ASSERT_TRUE(clients[k].Connect(server.port()));
+    auto opened_frame = clients[k].Call(EncodeOpenRequest({run_index}));
+    ASSERT_TRUE(opened_frame.ok() && opened_frame->ok());
+    auto opened = DecodeOpenResponse(opened_frame->payload);
+    ASSERT_TRUE(opened.ok());
+    steps[k].session_id = opened->session_id;
+    steps[k].max_steps = 1;
+    shards_hit.insert(opened->session_id % kShards);
   }
+  ASSERT_EQ(shards_hit.size(), kShards) << "sessions share a shard";
 
-  // Stream enough records to trip the row-count trigger, then block on
-  // the trainer's sync failpoint until the publish happened.
+  // Walk every pinned session up to `part` thirds of its replay.
+  auto walk_to = [&](size_t part, const char* phase) {
+    for (size_t k = 0; k < kShards; ++k) {
+      const size_t until = expected[k].size() * part / 3;
+      for (; walked[k] < until; ++walked[k]) {
+        auto frame = clients[k].Call(EncodeAdvanceRequest(steps[k]));
+        ASSERT_TRUE(frame.ok() && frame->ok());
+        auto advanced = DecodeAdvanceResponse(frame->payload);
+        ASSERT_TRUE(advanced.ok());
+        ASSERT_EQ(std::memcmp(&advanced->progress, &expected[k][walked[k]],
+                              sizeof(double)),
+                  0)
+            << "shard " << k << " observation " << walked[k]
+            << " diverges " << phase;
+      }
+    }
+  };
+  auto stats_now = [&]() -> std::optional<WireStats> {
+    auto frame = clients[0].Call(EncodeStatsRequest());
+    if (!frame.ok() || !frame->ok()) return std::nullopt;
+    auto stats = DecodeStatsResponse(frame->payload);
+    if (!stats.ok()) return std::nullopt;
+    return *stats;
+  };
+
+  const auto initial = stats_now();
+  ASSERT_TRUE(initial.has_value());
+  EXPECT_EQ(initial->retrains, 0u);
+  ASSERT_NO_FATAL_FAILURE(walk_to(1, "before any swap"));
+
+  // Each round streams enough records to trip the row-count trigger, then
+  // blocks on the trainer's sync failpoint until that many publishes
+  // happened. The generation bumps are visible over the wire.
   uint64_t rng = 31;
   uint64_t accepted = 0;
-  for (size_t i = 0; i < 3; ++i) {
-    auto frame = client.Call(BatchFrame(16, &rng));
-    ASSERT_TRUE(frame.ok() && frame->ok()) << "ingest batch " << i;
-    auto resp = DecodeIngestResponse(frame->payload);
-    ASSERT_TRUE(resp.ok());
-    EXPECT_EQ(resp->dropped, 0u);
-    accepted += resp->accepted;
+  for (uint64_t round = 1; round <= 2; ++round) {
+    for (size_t i = 0; i < 3; ++i) {
+      auto frame = clients[0].Call(BatchFrame(16, &rng));
+      ASSERT_TRUE(frame.ok() && frame->ok()) << "ingest batch " << i;
+      auto resp = DecodeIngestResponse(frame->payload);
+      ASSERT_TRUE(resp.ok());
+      EXPECT_EQ(resp->dropped, 0u);
+      accepted += resp->accepted;
+    }
+    EXPECT_EQ(accepted, 48u * round);
+    ASSERT_TRUE(FailPoints::WaitForHits("trainer.retrain.done", round,
+                                        std::chrono::seconds(30)));
+    const auto after = stats_now();
+    ASSERT_TRUE(after.has_value());
+    EXPECT_GE(after->model_generation, initial->model_generation + round);
+    EXPECT_GE(after->retrains, round);
+    EXPECT_EQ(after->records_ingested, accepted);
+    EXPECT_EQ(after->ingest_pushed, accepted);
+    EXPECT_EQ(after->records_ingest_dropped, 0u);
+    EXPECT_EQ(after->records_ingest_shed, 0u);
+    const char* phase =
+        round == 1 ? "after the first swap" : "after the second swap";
+    ASSERT_NO_FATAL_FAILURE(walk_to(round + 1, phase));
   }
-  EXPECT_EQ(accepted, 48u);
-  ASSERT_TRUE(FailPoints::WaitForHits("trainer.retrain.done", 1,
-                                      std::chrono::seconds(30)));
 
-  // The generation bump is visible over the same connection.
-  auto after_frame = client.Call(EncodeStatsRequest());
-  ASSERT_TRUE(after_frame.ok() && after_frame->ok());
-  auto after = DecodeStatsResponse(after_frame->payload);
-  ASSERT_TRUE(after.ok());
-  EXPECT_GT(after->model_generation, initial->model_generation);
-  EXPECT_GE(after->retrains, 1u);
-  EXPECT_EQ(after->records_ingested, 48u);
-  EXPECT_EQ(after->ingest_pushed, 48u);
-  EXPECT_EQ(after->records_ingest_dropped, 0u);
-  EXPECT_EQ(after->records_ingest_shed, 0u);
-
-  // The pinned session finishes on the old stack, bit for bit.
-  for (size_t obs = half; obs < expected.size(); ++obs) {
-    auto frame = client.Call(EncodeAdvanceRequest(step));
-    ASSERT_TRUE(frame.ok() && frame->ok());
-    auto advanced = DecodeAdvanceResponse(frame->payload);
-    ASSERT_TRUE(advanced.ok());
-    ASSERT_EQ(
-        std::memcmp(&advanced->progress, &expected[obs], sizeof(double)), 0)
-        << "observation " << obs << " diverges after the swap";
+  // Every pinned session finished on the old stack, bit for bit.
+  for (size_t k = 0; k < kShards; ++k) {
+    EXPECT_EQ(walked[k], expected[k].size());
+    auto closed =
+        clients[k].Call(EncodeCloseRequest({steps[k].session_id}));
+    ASSERT_TRUE(closed.ok() && closed->ok());
   }
-  auto closed = client.Call(EncodeCloseRequest({opened->session_id}));
-  ASSERT_TRUE(closed.ok() && closed->ok());
 
   server.Stop();
   queue.Close();
@@ -304,9 +325,10 @@ TEST_F(ServerOnlineTest, IngestOverTheWireRetrainsAndKeepsPinnedSessions) {
   FailPoints::DisarmAll();
 
   const IngestStats stats = trainer.GetStats();
-  EXPECT_EQ(stats.pushed, 48u);
+  EXPECT_EQ(stats.pushed, 96u);
   EXPECT_EQ(stats.drained, stats.pushed);
   EXPECT_EQ(stats.queue_size, 0u);
+  EXPECT_GE(stats.retrains, 2u);
 }
 
 TEST_F(ServerOnlineTest, WatermarkShedsAreBusyWholeFrameAndExact) {

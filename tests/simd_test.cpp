@@ -41,6 +41,7 @@ namespace rpe {
 namespace {
 
 using ::rpe::testing::RandomRecords;
+using ::rpe::testing::TempPath;
 
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
@@ -512,8 +513,7 @@ TEST(SimdEndToEnd, SnapshotRoundTripsAcrossTiers) {
   params.num_trees = 8;
   const SelectorStack stack =
       SelectorStack::Train(records, PoolOriginalThree(), params);
-  const std::string path =
-      std::filesystem::temp_directory_path().string() + "/simd_stack.rpsn";
+  const std::string path = TempPath("simd_stack.rpsn");
 
   const std::vector<double> probe = records[0].features;
   const std::vector<double> want =

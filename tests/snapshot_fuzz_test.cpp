@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -32,6 +31,7 @@ namespace rpe {
 namespace {
 
 using ::rpe::testing::RandomRecords;
+using ::rpe::testing::TempPath;
 
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
@@ -44,10 +44,6 @@ size_t EnvCount(const char* name, size_t fallback) {
   const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') return fallback;
   return static_cast<size_t>(std::strtoull(env, nullptr, 10));
-}
-
-std::string TempPath(const std::string& name) {
-  return std::filesystem::temp_directory_path().string() + "/" + name;
 }
 
 void WriteBytes(const std::string& path, const std::string& bytes) {
@@ -183,7 +179,7 @@ class SnapshotFuzzTest : public ::testing::Test {
     params.seed = 7;
     valid_ = new std::string(EncodeSelectorStack(SelectorStack::Train(
         RandomRecords(60, 51), PoolOriginalThree(), params)));
-    path_ = new std::string(TempPath("rpe_snapshot_fuzz.rpsn"));
+    path_ = new std::string(TempPath("snapshot_fuzz.rpsn"));
   }
   static void TearDownTestSuite() {
     std::remove(path_->c_str());

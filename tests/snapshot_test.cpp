@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -19,6 +18,7 @@ namespace {
 
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
+using ::rpe::testing::TempPath;
 
 SelectorStack TrainSmallStack(const std::vector<PipelineRecord>& records,
                               uint64_t seed) {
@@ -252,9 +252,8 @@ TEST_F(SnapshotTest, OutOfRangeSplitFeatureIsRejected) {
 }
 
 TEST_F(SnapshotTest, FileRoundTrip) {
-  const std::string dir = std::filesystem::temp_directory_path().string();
-  const std::string record_path = dir + "/rpe_snapshot_test_records.rpsn";
-  const std::string stack_path = dir + "/rpe_snapshot_test_stack.rpsn";
+  const std::string record_path = TempPath("snapshot_test_records.rpsn");
+  const std::string stack_path = TempPath("snapshot_test_stack.rpsn");
 
   ASSERT_TRUE(SaveRecordBatch(*records_, record_path).ok());
   auto records = LoadRecordBatch(record_path);
@@ -399,33 +398,6 @@ TEST_F(MonitorServiceTest, SessionAdvanceMatchesSequentialReplay) {
   const auto stats = service.GetStats();
   EXPECT_EQ(stats.sessions_completed, 1u);
   EXPECT_EQ(stats.observations_scored, expected.size());
-}
-
-TEST_F(MonitorServiceTest, TickAdvancesEverySessionOncePerCall) {
-  MonitorService service(stack_);
-  std::vector<MonitorService::SessionId> ids;
-  size_t total_obs = 0;
-  for (const QueryRunResult& run : *runs_) {
-    auto id = service.OpenSession(&run);
-    ASSERT_TRUE(id.ok());
-    ids.push_back(*id);
-    total_obs += run.observations.size();
-  }
-  size_t ticks = 0;
-  while (service.Tick() > 0) ++ticks;
-  // The longest run bounds the tick count (its last tick returns 0 left).
-  size_t longest = 0;
-  for (const QueryRunResult& run : *runs_) {
-    longest = std::max(longest, run.observations.size());
-  }
-  EXPECT_EQ(ticks, longest - 1);
-  EXPECT_EQ(service.GetStats().observations_scored, total_obs);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_TRUE(*service.Done(ids[i]));
-    const auto expected = SequentialSeries({&(*runs_)[i]});
-    EXPECT_EQ(*service.Progress(ids[i]), expected[0].back());
-    ASSERT_TRUE(service.CloseSession(ids[i]).ok());
-  }
 }
 
 TEST_F(MonitorServiceTest, SwapModelsKeepsOpenSessionsPinned) {

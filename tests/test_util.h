@@ -2,8 +2,12 @@
 // known contents so operator results can be checked against brute force.
 #pragma once
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "common/logging.h"
 #include "selection/record.h"
@@ -11,6 +15,15 @@
 #include "storage/datagen.h"
 
 namespace rpe::testing {
+
+/// Path for a scratch file under the system temp dir, unique to this
+/// process: ctest runs every test case as its own process, so a fixed
+/// name would let parallel cases write and delete each other's files.
+inline std::string TempPath(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          ("rpe_" + std::to_string(::getpid()) + "_" + name))
+      .string();
+}
 
 /// Random PipelineRecords at full schema arity (features uniform in
 /// [0, 1), l1/l2 for every estimator kind): the fixture for

@@ -45,18 +45,12 @@
 //       (Prometheus text, "metrics on 127.0.0.1:<port>" printed at
 //       startup); --trace-out writes a Chrome trace-event JSON dump at
 //       exit; --slow-ms logs any request slower than the threshold with a
-//       per-span breakdown (see docs/OBSERVABILITY.md).
-//
-//   rpe_cli serve-online --kind tpch --queries 40 [--sessions 64]
-//                        [--shards 4] [--model stack.rpsn] [--mmap]
-//                        [--retrain-every 48] [--queue-cap 1024]
-//                        [--tick-budget 16] [--snapshot-out stack.rpsn]
-//                        [--verify]
-//       The full online-learning loop: replay sessions tick concurrently
-//       while completed records stream into the ingest queue; a
-//       background TrainerLoop retrains the selector stack and hot-swaps
-//       it into every shard mid-replay. Prints serving + ingest stats;
-//       fails if no retrain was published.
+//       per-span breakdown (see docs/OBSERVABILITY.md). The whole
+//       online-learning loop runs behind the wire: ingest frames feed a
+//       background TrainerLoop that retrains and hot-swaps the stack
+//       into every shard ([--retrain-every 48] [--queue-cap 1024]
+//       [--snapshot-out stack.rpsn]); drive it with
+//       `rpe_loadgen --ingest-rate`.
 //
 // See docs/CLI.md for the full flag reference. All commands accept
 // --threads N to size the training/selection worker pool (default:
@@ -369,7 +363,7 @@ int CmdSnapshotLoad(const std::map<std::string, std::string>& flags) {
 
 /// Build + execute a serving workload, keeping every successful run alive
 /// (sessions replay against them) and its featurized records. Shared by
-/// serve-replay and serve-online.
+/// serve-replay and serve-tcp.
 Status ExecuteServingWorkload(const WorkloadConfig& config,
                               std::vector<OwnedRun>* runs,
                               std::vector<PipelineRecord>* records) {
@@ -423,15 +417,14 @@ Result<std::shared_ptr<const SelectorStack>> PreloadModel(
 }
 
 /// Initial serving stack: the preloaded --model when given, else trained
-/// on `records` with --trees trees.
+/// on `records` with --trees trees (default 50).
 std::shared_ptr<const SelectorStack> InitialStack(
     const std::map<std::string, std::string>& flags,
     std::shared_ptr<const SelectorStack> preloaded,
-    const std::vector<PipelineRecord>& records,
-    const std::string& default_trees) {
+    const std::vector<PipelineRecord>& records) {
   if (preloaded != nullptr) return preloaded;
   MartParams params = EstimatorSelector::DefaultParams();
-  params.num_trees = std::stoi(FlagOr(flags, "trees", default_trees));
+  params.num_trees = std::stoi(FlagOr(flags, "trees", "50"));
   std::cerr << "training selector stack on " << records.size()
             << " records ...\n";
   return std::make_shared<const SelectorStack>(SelectorStack::Train(
@@ -491,7 +484,7 @@ int CmdServeReplay(const std::map<std::string, std::string>& flags) {
   }
 
   std::shared_ptr<const SelectorStack> stack =
-      InitialStack(flags, *preloaded, records, /*default_trees=*/"50");
+      InitialStack(flags, *preloaded, records);
 
   // One session per requested slot, cycling the executed runs.
   const size_t num_sessions = *sessions_flag;
@@ -599,7 +592,7 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   }
 
   std::shared_ptr<const SelectorStack> stack =
-      InitialStack(flags, *preloaded, records, /*default_trees=*/"50");
+      InitialStack(flags, *preloaded, records);
 
   ShardedMonitorService::Options service_options;
   service_options.num_shards = *shards;
@@ -702,162 +695,6 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdServeOnline(const std::map<std::string, std::string>& flags) {
-  auto parsed = ParseWorkloadFlags(flags, /*default_scale=*/"5",
-                                   /*default_queries=*/"40");
-  if (!parsed.ok()) {
-    std::cerr << parsed.status().ToString() << "\n";
-    return 1;
-  }
-  const WorkloadConfig& config = *parsed;
-
-  // Flag validation happens before the (expensive) workload run: a typo'd
-  // serve configuration must fail in milliseconds.
-  auto shards = ParseShards(flags);
-  auto sessions_flag = ParseSizeFlag(flags, "sessions", "64", 1, 1 << 20);
-  auto queue_cap = ParseSizeFlag(flags, "queue-cap", "1024", 1, 1 << 24);
-  auto retrain_every =
-      ParseSizeFlag(flags, "retrain-every", "48", 0, 1 << 24);
-  // TrainerLoop requires max_corpus >= min_corpus (at most 16 here).
-  auto corpus_cap = ParseSizeFlag(flags, "corpus-cap", "4096", 16, 1 << 24);
-  auto tick_budget = ParseSizeFlag(flags, "tick-budget", "0", 0, 1 << 24);
-  auto ingest_per_tick =
-      ParseSizeFlag(flags, "ingest-per-tick", "4", 0, 1 << 20);
-  const Status mmap_ok = CheckMmapFlags(flags);
-  for (const Status& st :
-       {shards.status(), sessions_flag.status(), queue_cap.status(),
-        retrain_every.status(), corpus_cap.status(), tick_budget.status(),
-        ingest_per_tick.status(), mmap_ok}) {
-    if (!st.ok()) {
-      std::cerr << st.ToString() << "\n";
-      return 2;
-    }
-  }
-  auto preloaded = PreloadModel(flags);
-  if (!preloaded.ok()) {
-    std::cerr << preloaded.status().ToString() << "\n";
-    return 1;
-  }
-
-  std::vector<OwnedRun> runs;
-  std::vector<PipelineRecord> records;
-  const Status executed = ExecuteServingWorkload(config, &runs, &records);
-  if (!executed.ok()) {
-    std::cerr << executed.ToString() << "\n";
-    return 1;
-  }
-
-  // The first half of the records seeds the initial stack + corpus; the
-  // whole set then cycles through the ingest queue during replay,
-  // standing in for the record stream a live system would emit.
-  std::vector<PipelineRecord> seed(records.begin(),
-                                   records.begin() + records.size() / 2);
-  if (seed.empty()) seed = records;
-  std::shared_ptr<const SelectorStack> initial =
-      InitialStack(flags, *preloaded, seed, /*default_trees=*/"20");
-
-  ShardedMonitorService::Options service_options;
-  service_options.num_shards = *shards;
-  ShardedMonitorService service(initial, service_options);
-  RecordIngestQueue queue(*queue_cap);
-  TrainerLoop::Options trainer_options;
-  trainer_options.retrain_min_records = *retrain_every;
-  trainer_options.max_corpus = *corpus_cap;
-  trainer_options.min_corpus = std::min<size_t>(
-      trainer_options.min_corpus, std::max<size_t>(seed.size(), 1));
-  trainer_options.pool = ParsePool(FlagOr(flags, "pool", "six"));
-  trainer_options.params = EstimatorSelector::DefaultParams();
-  trainer_options.params.num_trees =
-      std::stoi(FlagOr(flags, "trees", "20"));
-  trainer_options.snapshot_path = FlagOr(flags, "snapshot-out", "");
-  TrainerLoop trainer(&queue, &service, trainer_options);
-  trainer.SeedCorpus(seed);
-  service.SetIngestStatsProvider([&trainer] { return trainer.GetStats(); });
-  trainer.Start();
-
-  // Sessions opened now pin generation 0, so their replay must stay
-  // bit-identical to a sequential replay of the initial stack no matter
-  // how many swaps land mid-replay.
-  const size_t num_sessions = *sessions_flag;
-  std::vector<ShardedMonitorService::SessionId> sessions;
-  std::vector<const QueryRunResult*> session_runs;
-  for (size_t s = 0; s < num_sessions; ++s) {
-    const QueryRunResult* run = &runs[s % runs.size()].result;
-    auto id = service.OpenSession(run);
-    if (!id.ok()) {
-      std::cerr << id.status().ToString() << "\n";
-      return 1;
-    }
-    sessions.push_back(*id);
-    session_runs.push_back(run);
-  }
-
-  // Replay + ingest run concurrently with the trainer: each budgeted tick
-  // advances sessions fairly while fresh records stream into the queue.
-  size_t stream_next = 0;
-  size_t ticks = 0;
-  size_t remaining = sessions.size();
-  while (remaining > 0) {
-    remaining = service.Tick(*tick_budget);
-    ++ticks;
-    for (size_t i = 0; i < *ingest_per_tick; ++i) {
-      queue.Push(records[stream_next++ % records.size()]);
-    }
-  }
-  queue.Close();
-  trainer.Stop();  // drains the tail of the queue; may publish once more
-
-  int rc = 0;
-  if (flags.count("verify") > 0) {
-    ProgressMonitor sequential(&initial->static_selector,
-                               &initial->dynamic_selector);
-    // Sessions cycle a small run set: replay each distinct run once.
-    std::map<const QueryRunResult*, double> expected_final;
-    for (const QueryRunResult* run : session_runs) {
-      if (expected_final.count(run) == 0) {
-        expected_final[run] = sequential.ReplayQueryProgress(*run).back();
-      }
-    }
-    for (size_t s = 0; s < sessions.size(); ++s) {
-      const double expected = expected_final.at(session_runs[s]);
-      const auto progress = service.Progress(sessions[s]);
-      if (!progress.ok() || *progress != expected) {
-        std::cerr << "VERIFY FAILED: session " << s
-                  << " final progress diverges from the pinned-snapshot "
-                     "sequential replay\n";
-        rc = 1;
-      }
-    }
-    if (rc == 0) {
-      std::cout << "verify: " << sessions.size()
-                << " sessions bit-identical to their pinned generation-0 "
-                   "snapshot across "
-                << service.model_generation() << " hot swaps\n";
-    }
-  }
-  for (ShardedMonitorService::SessionId id : sessions) {
-    const Status closed = service.CloseSession(id);
-    if (!closed.ok()) std::cerr << closed.ToString() << "\n";
-  }
-
-  const ShardedMonitorService::Stats stats = service.GetStats();
-  // Registry-driven exit table (same formatter as serve-replay /
-  // serve-tcp); "simd" and "ticks" are CLI-local rows, not metrics.
-  obs::MetricsRegistry registry;
-  RegisterServiceCollector(&registry, &service);
-  TablePrinter table = MetricsTable(registry.Collect());
-  table.AddRow({"simd", simd::KernelReport()});
-  table.AddRow({"ticks", std::to_string(ticks)});
-  table.Print();
-
-  if (stats.total.ingest.retrains == 0) {
-    std::cerr << "no retrain was published (lower --retrain-every or raise "
-                 "--ingest-per-tick)\n";
-    return 1;
-  }
-  return rc;
-}
-
 void PrintUsage(std::ostream& out) {
   out << "usage: rpe_cli <command> [--flags]   (see docs/CLI.md)\n"
          "commands:\n"
@@ -869,7 +706,6 @@ void PrintUsage(std::ostream& out) {
          "  snapshot-load  verify + describe a snapshot\n"
          "  serve-replay   concurrent MonitorService replay of a workload\n"
          "  serve-tcp      epoll TCP front-end over the monitor tier\n"
-         "  serve-online   replay + async ingest + background retraining\n"
          "  version        build + SIMD dispatch report (also --version)\n"
          "common flags: --threads N; serve commands also take --shards N\n"
          "(sharded session routing) and --model x.rpsn --mmap (zero-copy\n"
@@ -919,7 +755,6 @@ int Main(int argc, char** argv) {
   if (cmd == "snapshot-load") return CmdSnapshotLoad(flags);
   if (cmd == "serve-replay") return CmdServeReplay(flags);
   if (cmd == "serve-tcp") return CmdServeTcp(flags);
-  if (cmd == "serve-online") return CmdServeOnline(flags);
   std::cerr << "unknown command: " << cmd << "\n";
   return 2;
 }
