@@ -1,6 +1,8 @@
 #include "common/random.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.h"
 
@@ -72,6 +74,7 @@ bool Rng::NextBool(double p) { return NextDouble() < p; }
 
 ZipfGenerator::ZipfGenerator(uint64_t n, double z) : n_(n), z_(z) {
   RPE_CHECK_GT(n, 0u);
+  RPE_CHECK_LE(n, uint64_t{UINT32_MAX});
   RPE_CHECK_GE(z, 0.0);
   cdf_.resize(n);
   double total = 0.0;
@@ -80,12 +83,28 @@ ZipfGenerator::ZipfGenerator(uint64_t n, double z) : n_(n), z_(z) {
     cdf_[i - 1] = total;
   }
   for (auto& c : cdf_) c /= total;
+
+  // guide_[j] is where the search below would land for u = j / G (the
+  // first i with cdf_[i] >= j / G, else n - 1). That landing point is
+  // monotone in u, so every u in [j / G, (j + 1) / G) lands in
+  // [guide_[j], guide_[j + 1]]. G is a power of two, so u * G and j / G
+  // are exact and each u falls in exactly the bucket it belongs to.
+  const uint64_t buckets = std::bit_ceil(n);
+  guide_scale_ = static_cast<double>(buckets);
+  guide_.resize(buckets + 1);
+  uint32_t i = 0;
+  for (uint64_t j = 0; j <= buckets; ++j) {
+    const double t = static_cast<double>(j) / guide_scale_;
+    while (i + 1 < n && cdf_[i] < t) ++i;
+    guide_[j] = i;
+  }
 }
 
 uint64_t ZipfGenerator::Next(Rng* rng) const {
   const double u = rng->NextDouble();
-  // Binary search for first cdf_[i] >= u.
-  size_t lo = 0, hi = cdf_.size() - 1;
+  const size_t bucket = static_cast<size_t>(u * guide_scale_);
+  // Binary search for first cdf_[i] >= u, within the guide's bounds.
+  size_t lo = guide_[bucket], hi = guide_[bucket + 1];
   while (lo < hi) {
     const size_t mid = (lo + hi) / 2;
     if (cdf_[mid] < u) {

@@ -45,8 +45,10 @@ class Rng {
 
 /// \brief Zipfian distribution over {1..n} with parameter z, matching the
 /// Microsoft TPC-D/H skew generator referenced by the paper ([1]): z = 0 is
-/// uniform, z = 1 classic Zipf, z = 2 heavily skewed. Sampling is O(log n)
-/// via a precomputed CDF.
+/// uniform, z = 1 classic Zipf, z = 2 heavily skewed. Sampling inverts a
+/// precomputed CDF by binary search; a guide table over the CDF narrows
+/// the search to the few entries the uniform draw can land on, so a draw
+/// is O(1) expected. Requires n < 2^32.
 class ZipfGenerator {
  public:
   ZipfGenerator(uint64_t n, double z);
@@ -64,6 +66,10 @@ class ZipfGenerator {
   uint64_t n_;
   double z_;
   std::vector<double> cdf_;  // cdf_[i] = P(value <= i+1)
+  // guide_[j] = first i with cdf_[i] >= j / G (clamped to n - 1), for the
+  // power of two G = guide_scale_ >= n.
+  std::vector<uint32_t> guide_;
+  double guide_scale_ = 1.0;
 };
 
 }  // namespace rpe

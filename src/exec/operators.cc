@@ -11,12 +11,10 @@ namespace rpe {
 
 namespace {
 
-Row ConcatRows(const Row& a, const Row& b) {
-  Row out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
+/// *out = a ++ b, reusing *out's storage.
+void ConcatRowsInto(const Row& a, const Row& b, Row* out) {
+  out->assign(a.begin(), a.end());
+  out->insert(out->end(), b.begin(), b.end());
 }
 
 /// Deterministic sort comparator: primary key column, full-row tiebreak.
@@ -167,12 +165,8 @@ void FilterOp::ReOpen() {
 void FilterOp::Close() { child_->Close(); }
 
 bool FilterOp::NextImpl(Row* out) {
-  Row row;
-  while (child_->Next(&row)) {
-    if (node_->pred.Eval(row, param_)) {
-      *out = std::move(row);
-      return true;
-    }
+  while (child_->Next(out)) {
+    if (node_->pred.Eval(*out, param_)) return true;
   }
   return false;
 }
@@ -204,7 +198,6 @@ void NestedLoopJoinOp::Close() {
 }
 
 bool NestedLoopJoinOp::NextImpl(Row* out) {
-  Row inner_row;
   while (true) {
     if (!have_outer_) {
       if (!outer_->Next(&outer_row_)) return false;
@@ -212,8 +205,8 @@ bool NestedLoopJoinOp::NextImpl(Row* out) {
       inner_->ReOpen();
       have_outer_ = true;
     }
-    if (inner_->Next(&inner_row)) {
-      *out = ConcatRows(outer_row_, inner_row);
+    if (inner_->Next(&inner_row_)) {
+      ConcatRowsInto(outer_row_, inner_row_, out);
       return true;
     }
     have_outer_ = false;
@@ -280,7 +273,7 @@ void HashJoinOp::Close() {
 bool HashJoinOp::NextImpl(Row* out) {
   while (true) {
     if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      *out = ConcatRows((*matches_)[match_pos_++], probe_row_);
+      ConcatRowsInto((*matches_)[match_pos_++], probe_row_, out);
       return true;
     }
     matches_ = nullptr;
@@ -329,7 +322,7 @@ bool MergeJoinOp::NextImpl(Row* out) {
   while (true) {
     if (emitting_) {
       if (group_pos_ < right_group_.size()) {
-        *out = ConcatRows(left_row_, right_group_[group_pos_++]);
+        ConcatRowsInto(left_row_, right_group_[group_pos_++], out);
         return true;
       }
       emitting_ = false;
@@ -527,32 +520,29 @@ bool StreamAggregateOp::NextImpl(Row* out) {
     if (!child_->Next(&pending_)) return false;
     have_pending_ = true;
   }
-  auto group_of = [&](const Row& r) {
-    std::vector<int64_t> g(node_->group_cols.size());
-    for (size_t i = 0; i < node_->group_cols.size(); ++i) {
-      g[i] = r[node_->group_cols[i]];
-    }
-    return g;
+  const std::vector<size_t>& cols = node_->group_cols;
+  // Emits pending_'s group with its count into *out.
+  const auto emit = [&](int64_t count) {
+    out->resize(cols.size() + 1);
+    for (size_t i = 0; i < cols.size(); ++i) (*out)[i] = pending_[cols[i]];
+    (*out)[cols.size()] = count;
   };
-  const std::vector<int64_t> group = group_of(pending_);
   int64_t count = 1;
-  Row row;
-  while (child_->Next(&row)) {
+  while (child_->Next(&row_)) {
     ctx_->Charge(0.4);  // per-input aggregation work
-    if (group_of(row) == group) {
+    const bool same_group = std::all_of(
+        cols.begin(), cols.end(),
+        [&](size_t c) { return row_[c] == pending_[c]; });
+    if (same_group) {
       ++count;
     } else {
-      pending_ = std::move(row);
-      Row g = group;
-      g.push_back(count);
-      *out = std::move(g);
+      emit(count);
+      std::swap(pending_, row_);
       return true;
     }
   }
   have_pending_ = false;
-  Row g = group;
-  g.push_back(count);
-  *out = std::move(g);
+  emit(count);
   return true;
 }
 

@@ -141,6 +141,7 @@ class NestedLoopJoinOp : public Operator {
   std::unique_ptr<Operator> outer_;
   std::unique_ptr<Operator> inner_;
   Row outer_row_;
+  Row inner_row_;
   bool have_outer_ = false;
 };
 
@@ -265,7 +266,8 @@ class StreamAggregateOp : public Operator {
 
  private:
   std::unique_ptr<Operator> child_;
-  Row pending_;
+  Row pending_;  ///< first row of the group being counted
+  Row row_;      ///< input buffer, reused across calls
   bool have_pending_ = false;
 };
 

@@ -13,10 +13,7 @@ const char* TuningLevelName(TuningLevel level) {
 
 Status ApplyPhysicalDesign(Catalog* catalog, const PhysicalDesign& design) {
   catalog->DropAllIndexes();
-  for (const auto& ix : design.indexes) {
-    RPE_RETURN_NOT_OK(catalog->CreateIndex(ix.table, ix.column));
-  }
-  return Status::OK();
+  return catalog->CreateIndexes(design.indexes);
 }
 
 }  // namespace rpe

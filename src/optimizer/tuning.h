@@ -22,12 +22,6 @@ enum class TuningLevel {
 
 const char* TuningLevelName(TuningLevel level);
 
-/// \brief One secondary index to create.
-struct IndexSpec {
-  std::string table;
-  std::string column;
-};
-
 /// \brief A named physical design: the index set for one tuning level.
 struct PhysicalDesign {
   std::string name;

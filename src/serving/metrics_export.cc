@@ -17,7 +17,7 @@ using obs::Sample;
 void AppendServiceSamples(const ShardedMonitorService::Stats& stats,
                           std::vector<obs::Sample>* out) {
   const MonitorService::Stats& t = stats.total;
-  const IngestStats& in = t.ingest;
+  const IngestStats& in = stats.ingest;
   // Table-label ordering note: table_value() in the smoke/exit scripts
   // matches row labels by regex and takes the FIRST hit, so rows whose
   // label is a substring of another ("decisions" / "decisions/sec") must

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "selection/monitor.h"
-#include "serving/ingest.h"
 #include "serving/snapshot.h"
 
 namespace rpe {
@@ -135,10 +134,6 @@ class MonitorService : public ModelPublisher {
     double scoring_time_sec = 0.0;
     /// Generation of the published model snapshot (see SwapModels).
     uint64_t model_generation = 0;
-    /// Online-learning counters. A shard never fills them; the
-    /// ShardedMonitorService aggregate takes them from its registered
-    /// provider (ShardedMonitorService::SetIngestStatsProvider).
-    IngestStats ingest;
   };
   /// When `latency_samples` is non-null it receives a copy of the bounded
   /// replay-latency reservoir behind p50/p95 (most recent kLatencyWindow

@@ -781,7 +781,7 @@ void TcpServer::FinishRequest(const char* name, uint64_t trace_id,
   request_latency_->Record(latency);
   obs::Tracer& tracer = obs::Tracer::Global();
   if (trace_id != 0) {
-    tracer.Record(name, trace_id, 0, recv_ns, latency);
+    tracer.Record(name, trace_id, 0, recv_ns, latency, arg);
   }
   const uint64_t threshold = tracer.slow_threshold_ns();
   if (threshold != 0 && latency >= threshold) {
@@ -1085,11 +1085,11 @@ WireStats TcpServer::BuildWireStats() const {
   w.records_ingest_dropped = tcp.records_ingest_dropped;
   w.records_ingest_shed = tcp.records_ingest_shed;
   w.requests_shed = tcp.requests_shed;
-  w.ingest_pushed = svc.total.ingest.pushed;
-  w.ingest_dropped = svc.total.ingest.dropped;
-  w.ingest_drained = svc.total.ingest.drained;
-  w.ingest_queue_size = svc.total.ingest.queue_size;
-  w.retrains = svc.total.ingest.retrains;
+  w.ingest_pushed = svc.ingest.pushed;
+  w.ingest_dropped = svc.ingest.dropped;
+  w.ingest_drained = svc.ingest.drained;
+  w.ingest_queue_size = svc.ingest.queue_size;
+  w.retrains = svc.ingest.retrains;
   return w;
 }
 

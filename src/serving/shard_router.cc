@@ -141,7 +141,7 @@ ShardedMonitorService::Stats ShardedMonitorService::GetStats() const {
   }
   Stats stats;
   stats.shards = shards_.size();
-  if (provider) stats.total.ingest = provider();
+  if (provider) stats.ingest = provider();
 
   // Exclude publishes while scanning: a swap fan-out can never interleave
   // with the per-shard reads, so the reported generations are a consistent

@@ -36,6 +36,7 @@
 #include <span>
 #include <vector>
 
+#include "serving/ingest.h"
 #include "serving/monitor_service.h"
 
 namespace rpe {
@@ -98,9 +99,11 @@ class ShardedMonitorService : public ModelPublisher {
     size_t shards = 0;
     /// Summed counters; p50/p95 merged over the union of per-shard
     /// latency reservoirs; rates recomputed from summed counters over
-    /// summed scoring time. model_generation is the min across shards;
-    /// ingest comes from the router-level provider.
+    /// summed scoring time. model_generation is the min across shards.
     MonitorService::Stats total;
+    /// Online-learning counters, from the registered provider (zero when
+    /// none is registered).
+    IngestStats ingest;
     /// Min/max shard generation. GetStats excludes publishes while it
     /// scans, so these are always equal — a consistent cut across shards;
     /// both are reported as an interface-level consistency check.

@@ -21,10 +21,10 @@
 // published generation; the pending-record counters stay set, so the next
 // cycle out of quarantine retries, and a success is counted as a
 // recovery. Every failure/retry/recovery is an exact counter in
-// IngestStats, surfaced through MonitorService::Stats. Stop() completes
-// cleanly under any of these faults. The failure edges carry failpoints
-// ("trainer.retrain", "trainer.publish", "snapshot.write" — see
-// common/failpoint.h) so every path is deterministically testable.
+// IngestStats, surfaced through ShardedMonitorService::Stats. Stop()
+// completes cleanly under any of these faults. The failure edges carry
+// failpoints ("trainer.retrain", "trainer.publish", "snapshot.write" —
+// see common/failpoint.h) so every path is deterministically testable.
 //
 // Threading contract: Start spawns the single consumer thread; Stop joins
 // it and then performs one final synchronous drain + threshold check so

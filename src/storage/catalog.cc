@@ -1,5 +1,9 @@
 #include "storage/catalog.h"
 
+#include <set>
+
+#include "common/thread_pool.h"
+
 namespace rpe {
 
 namespace {
@@ -27,16 +31,43 @@ bool Catalog::HasTable(const std::string& name) const {
   return tables_.count(name) > 0;
 }
 
+Status Catalog::CreateIndexes(std::span<const IndexSpec> specs) {
+  struct Build {
+    std::string key;
+    const Table* table;
+    size_t column;
+    std::unique_ptr<SortedIndex> index;
+  };
+  std::vector<Build> builds;
+  std::set<std::string> seen;
+  Status status = Status::OK();
+  for (const IndexSpec& spec : specs) {
+    std::string key = IndexKey(spec.table, spec.column);
+    if (indexes_.count(key) > 0 || !seen.insert(key).second) continue;
+    auto t = GetTable(spec.table);
+    if (!t.ok()) {
+      status = t.status();
+      break;
+    }
+    auto col = (*t)->schema().ColumnIndex(spec.column);
+    if (!col.ok()) {
+      status = col.status();
+      break;
+    }
+    builds.push_back(Build{std::move(key), *t, *col, nullptr});
+  }
+  ThreadPool::Global().ParallelFor(builds.size(), [&](size_t i) {
+    builds[i].index =
+        std::make_unique<SortedIndex>(builds[i].table, builds[i].column);
+  });
+  for (Build& b : builds) indexes_[b.key] = std::move(b.index);
+  return status;
+}
+
 Status Catalog::CreateIndex(const std::string& table,
                             const std::string& column) {
-  const std::string key = IndexKey(table, column);
-  if (indexes_.count(key) > 0) return Status::OK();
-  auto t = GetTable(table);
-  RPE_RETURN_NOT_OK(t.status());
-  auto col = (*t)->schema().ColumnIndex(column);
-  RPE_RETURN_NOT_OK(col.status());
-  indexes_[key] = std::make_unique<SortedIndex>(*t, *col);
-  return Status::OK();
+  const IndexSpec spec{table, column};
+  return CreateIndexes({&spec, 1});
 }
 
 void Catalog::DropAllIndexes() { indexes_.clear(); }

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,12 @@
 #include "storage/table.h"
 
 namespace rpe {
+
+/// \brief One secondary index to create: a column of a named table.
+struct IndexSpec {
+  std::string table;
+  std::string column;
+};
 
 /// \brief Owns tables and their secondary indexes.
 class Catalog {
@@ -30,7 +37,15 @@ class Catalog {
   Result<const Table*> GetTable(const std::string& name) const;
   bool HasTable(const std::string& name) const;
 
-  /// Build (or no-op if already built) a sorted index on table.column.
+  /// Build a sorted index for each spec; a (table, column) that is
+  /// already indexed, or repeats an earlier spec, is a no-op. The specs
+  /// are resolved in order first: the first unknown table or column ends
+  /// the batch with its error, and only the specs before it are built.
+  /// The builds run on the global ThreadPool, one result slot per spec,
+  /// and are inserted in spec order, so the catalog is the same at any
+  /// thread count.
+  Status CreateIndexes(std::span<const IndexSpec> specs);
+  /// CreateIndexes of the one spec {table, column}.
   Status CreateIndex(const std::string& table, const std::string& column);
   /// Drop all indexes (e.g. to re-apply a different physical design).
   void DropAllIndexes();

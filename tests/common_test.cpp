@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/crc32.h"
 #include "common/random.h"
@@ -160,6 +161,57 @@ TEST(ZipfTest, PmfMonotoneDecreasing) {
   ZipfGenerator zipf(20, 1.5);
   for (uint64_t v = 2; v <= 20; ++v) {
     EXPECT_LE(zipf.Pmf(v), zipf.Pmf(v - 1) + 1e-12);
+  }
+}
+
+/// The CDF inversion ZipfGenerator computes without its guide table:
+/// the CDF built by the same loop, then a binary search over all of it.
+class ReferenceZipf {
+ public:
+  ReferenceZipf(uint64_t n, double z) : cdf_(n) {
+    double total = 0.0;
+    for (uint64_t i = 1; i <= n; ++i) {
+      total += 1.0 / std::pow(static_cast<double>(i), z);
+      cdf_[i - 1] = total;
+    }
+    for (auto& c : cdf_) c /= total;
+  }
+
+  uint64_t Next(Rng* rng) const {
+    const double u = rng->NextDouble();
+    size_t lo = 0, hi = cdf_.size() - 1;
+    while (lo < hi) {
+      const size_t mid = (lo + hi) / 2;
+      if (cdf_[mid] < u) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo + 1;
+  }
+
+ private:
+  std::vector<double> cdf_;
+};
+
+TEST(ZipfTest, GuidedDrawsEqualFullBinarySearch) {
+  // 2^17 draws for each of the 45 (n, z) pairs: 5.9M draws in all.
+  constexpr int kDraws = 1 << 17;
+  for (uint64_t n : {1, 2, 3, 5, 25, 150, 1000, 7500, 60000}) {
+    for (double z : {0.0, 0.5, 1.0, 1.5, 2.0}) {
+      const ZipfGenerator zipf(n, z);
+      const ReferenceZipf reference(n, z);
+      const uint64_t seed = n * 131 + static_cast<uint64_t>(z * 10);
+      Rng rng(seed), reference_rng(seed);
+      int mismatches = 0;
+      for (int i = 0; i < kDraws; ++i) {
+        if (zipf.Next(&rng) != reference.Next(&reference_rng)) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0) << "n=" << n << " z=" << z;
+      // Both consumed the same random values.
+      EXPECT_EQ(rng.Next(), reference_rng.Next()) << "n=" << n << " z=" << z;
+    }
   }
 }
 

@@ -552,6 +552,52 @@ TEST_F(ObsScrapeTest, MetricsDumpAndHttpScrapeReconcileExactly) {
   EXPECT_EQ(stats.protocol_errors, 1u);
 }
 
+TEST_F(ObsScrapeTest, AdvanceSpansCarryTheirStepCount) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Enable();
+  ShardedMonitorService::Options service_options;
+  service_options.num_shards = 1;
+  ShardedMonitorService service(stack_, service_options);
+  TcpServer server(&service, {run_}, TcpServer::Options{});
+  ASSERT_TRUE(server.Start().ok());
+  ScrapeClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+
+  auto opened = client.Call(EncodeOpenRequest({0}));
+  ASSERT_TRUE(opened.ok() && opened->ok());
+  auto open_response = DecodeOpenResponse(opened->payload);
+  ASSERT_TRUE(open_response.ok());
+  // Budgets of 1, 2 and 5 steps, then whole frames until the replay ends
+  // (the last answer takes fewer steps than its budget, maybe none).
+  std::vector<uint64_t> steps;
+  for (uint32_t budget : {1u, 2u, 5u, kMaxAdvanceSteps, kMaxAdvanceSteps}) {
+    AdvanceRequest request;
+    request.session_id = open_response->session_id;
+    request.max_steps = budget;
+    auto advanced = client.Call(EncodeAdvanceRequest(request));
+    ASSERT_TRUE(advanced.ok() && advanced->ok());
+    auto response = DecodeAdvanceResponse(advanced->payload);
+    ASSERT_TRUE(response.ok());
+    steps.push_back(response->steps);
+  }
+  server.Stop();
+  EXPECT_EQ(steps[0], 1u);
+  EXPECT_EQ(steps[1], 2u);
+
+  std::vector<obs::TraceEventView> spans;
+  for (const obs::TraceEventView& e : tracer.Snapshot()) {
+    if (std::strcmp(e.name, "request.advance") == 0) spans.push_back(e);
+  }
+  tracer.Disable();
+  std::sort(spans.begin(), spans.end(), [](const auto& a, const auto& b) {
+    return a.start_ns < b.start_ns;
+  });
+  ASSERT_EQ(spans.size(), steps.size());
+  for (size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].arg, steps[i]) << "advance " << i;
+  }
+}
+
 TEST_F(ObsScrapeTest, ServersWithoutSharedRegistryStayIsolated) {
   ShardedMonitorService::Options service_options;
   service_options.num_shards = 1;

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "common/random.h"
 #include "storage/catalog.h"
 #include "storage/datagen.h"
 
@@ -90,6 +94,114 @@ TEST_F(IndexTest, SeekRangeInKeyOrder) {
 TEST_F(IndexTest, EntriesAreSorted) {
   const auto& e = index_->entries();
   EXPECT_TRUE(std::is_sorted(e.begin(), e.end()));
+}
+
+/// The index a comparison sort would build: (key, row id) pairs of
+/// column `col`, sorted.
+std::vector<std::pair<int64_t, RowId>> ReferenceEntries(const Table& t,
+                                                        size_t col) {
+  std::vector<std::pair<int64_t, RowId>> pairs;
+  for (RowId id = 0; id < t.num_rows(); ++id) {
+    pairs.emplace_back(t.row(id)[col], id);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+void ExpectIndexMatchesReference(const std::vector<int64_t>& keys) {
+  Table t("t", Schema({{"k", 8}}));
+  for (int64_t k : keys) ASSERT_TRUE(t.Append({k}).ok());
+  SortedIndex index(&t, 0);
+  EXPECT_EQ(index.entries(), ReferenceEntries(t, 0));
+}
+
+TEST(IndexSortTest, EmptyAndSingleRowTables) {
+  ExpectIndexMatchesReference({});
+  ExpectIndexMatchesReference({42});
+  ExpectIndexMatchesReference({-7});
+}
+
+TEST(IndexSortTest, AllEqualKeysKeepRowOrder) {
+  ExpectIndexMatchesReference(std::vector<int64_t>(1000, 5));
+  ExpectIndexMatchesReference(std::vector<int64_t>(1000, INT64_MIN));
+}
+
+TEST(IndexSortTest, AscendingAndDescendingKeys) {
+  std::vector<int64_t> keys(3000);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = static_cast<int64_t>(i);
+  ExpectIndexMatchesReference(keys);
+  std::reverse(keys.begin(), keys.end());
+  ExpectIndexMatchesReference(keys);
+}
+
+TEST(IndexSortTest, NegativeKeysWithDuplicates) {
+  Rng rng(31);
+  std::vector<int64_t> keys(5000);
+  for (int64_t& k : keys) k = rng.NextInt(-300, 40);
+  ExpectIndexMatchesReference(keys);
+}
+
+TEST(IndexSortTest, KeysSpanningTheFullInt64Range) {
+  Rng rng(32);
+  std::vector<int64_t> keys = {INT64_MAX, INT64_MIN, 0, -1, 1,
+                               INT64_MIN, INT64_MAX};
+  for (int i = 0; i < 5000; ++i) {
+    keys.push_back(static_cast<int64_t>(rng.Next()));
+    // Small keys among the wide ones, so several passes see ties.
+    keys.push_back(rng.NextInt(-3, 3));
+  }
+  ExpectIndexMatchesReference(keys);
+}
+
+TEST(IndexSortTest, KeysWhoseLowDigitsAgree) {
+  // Every key shares its low byte, so the radix passes over it have one
+  // bucket; the high bytes still have to order the entries.
+  Rng rng(33);
+  std::vector<int64_t> keys(4000);
+  for (int64_t& k : keys) k = rng.NextInt(-5000, 5000) * 256 + 17;
+  ExpectIndexMatchesReference(keys);
+}
+
+TEST(IndexSortTest, GeneratedColumnsMatchReference) {
+  TableGenSpec spec;
+  spec.name = "g";
+  spec.num_rows = 20000;
+  spec.columns = {{"seq", 8}, {"uni", 8}, {"zipf", 8}, {"fk", 8}};
+  spec.generators = {ColumnGen::Sequential(), ColumnGen::Uniform(-50, 5000),
+                     ColumnGen::Zipf(700, 1.2), ColumnGen::FkZipf(9000, 0.8)};
+  Rng rng(34);
+  auto t = GenerateTable(spec, &rng);
+  ASSERT_TRUE(t.ok());
+  for (size_t col = 0; col < spec.columns.size(); ++col) {
+    SortedIndex index(t->get(), col);
+    EXPECT_EQ(index.entries(), ReferenceEntries(**t, col)) << "column " << col;
+  }
+}
+
+TEST(CatalogTest, CreateIndexesKeepsFirstSpecAndStopsAtFirstError) {
+  Catalog catalog;
+  auto t = std::make_unique<Table>("t", Schema({{"a", 8}, {"b", 8}}));
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(t->Append({(i * 37) % 11, -i}).ok());
+  }
+  ASSERT_TRUE(catalog.AddTable(std::move(t)).ok());
+
+  // Repeats are no-ops; the bad spec stops the batch after "t.a".
+  const std::vector<IndexSpec> bad = {
+      {"t", "a"}, {"t", "a"}, {"t", "nope"}, {"t", "b"}};
+  EXPECT_FALSE(catalog.CreateIndexes(bad).ok());
+  EXPECT_TRUE(catalog.HasIndex("t", "a"));
+  EXPECT_FALSE(catalog.HasIndex("t", "b"));
+  EXPECT_EQ(catalog.num_indexes(), 1u);
+
+  const std::vector<IndexSpec> good = {{"t", "b"}, {"t", "a"}, {"t", "b"}};
+  ASSERT_TRUE(catalog.CreateIndexes(good).ok());
+  EXPECT_EQ(catalog.num_indexes(), 2u);
+  const Table* table = *catalog.GetTable("t");
+  EXPECT_EQ(catalog.GetIndex("t", "a")->entries(),
+            ReferenceEntries(*table, 0));
+  EXPECT_EQ(catalog.GetIndex("t", "b")->entries(),
+            ReferenceEntries(*table, 1));
 }
 
 TEST(CatalogTest, TableAndIndexLifecycle) {

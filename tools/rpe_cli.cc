@@ -53,9 +53,10 @@
 //       `rpe_loadgen --ingest-rate`.
 //
 // See docs/CLI.md for the full flag reference. All commands accept
-// --threads N to size the training/selection worker pool (default:
-// RPE_NUM_THREADS env var, else hardware concurrency). Trained models are
-// identical at any thread count.
+// --threads N to size the worker pool of index builds, training and
+// selection (default: RPE_NUM_THREADS env var, else hardware
+// concurrency). Built workloads and trained models are identical at any
+// thread count.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
